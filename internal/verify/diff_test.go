@@ -20,15 +20,16 @@ func ladderGrid() []float64 {
 	return []float64{0.1e9, 0.5e9, 1.575e9, 3e9, 6e9}
 }
 
-// TestDifferentialMNAvsCascade stamps representative ladders into the MNA
-// engine and compares the resulting S-parameters against the chain-matrix
-// cascade: two independent solvers, one answer.
-func TestDifferentialMNAvsCascade(t *testing.T) {
-	cases := []struct {
-		name  string
-		elems []LadderElem
-		tol   float64
-	}{
+// ladderCase is one representative ladder of the MNA-vs-cascade corpus.
+type ladderCase struct {
+	name  string
+	elems []LadderElem
+	tol   float64
+}
+
+// ladderCorpus lists the ladders the differential and golden checks stamp.
+func ladderCorpus() []ladderCase {
+	return []ladderCase{
 		{"series R", []LadderElem{{Series: true, R: 50}}, 1e-9},
 		{"pi attenuator", []LadderElem{
 			{R: 96}, {Series: true, R: 71}, {R: 96},
@@ -43,7 +44,13 @@ func TestDifferentialMNAvsCascade(t *testing.T) {
 		}, 1e-9},
 		{"shunt-only", []LadderElem{{C: 4.7e-12}, {R: 220}}, 1e-9},
 	}
-	for _, tc := range cases {
+}
+
+// TestDifferentialMNAvsCascade stamps representative ladders into the MNA
+// engine and compares the resulting S-parameters against the chain-matrix
+// cascade: two independent solvers, one answer.
+func TestDifferentialMNAvsCascade(t *testing.T) {
+	for _, tc := range ladderCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			ana, err := LadderNetworkAnalytic(tc.elems, ladderGrid(), 50)
 			if err != nil {
