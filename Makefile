@@ -2,12 +2,12 @@ GO ?= go
 BENCHTIME ?= 0.2s
 FUZZTIME ?= 30s
 
-.PHONY: verify fmt vet staticcheck build test race bench bench-gate bench-smoke bench-workers chaos chaos-servd verify-invariants fuzz-smoke trace-smoke servd-smoke soak-smoke campaign-smoke
+.PHONY: verify fmt vet staticcheck build test race bench-check bench bench-gate bench-smoke bench-workers chaos chaos-servd verify-invariants fuzz-smoke trace-smoke servd-smoke soak-smoke campaign-smoke
 
 # verify is the tier-1 gate: formatting, vet, staticcheck (when installed),
-# build, the full test suite, and a race pass over the concurrently-exercised
-# packages.
-verify: fmt vet staticcheck build test race
+# build, the full test suite, a race pass over the concurrently-exercised
+# packages, and the benchmark module's vet and tests.
+verify: fmt vet staticcheck build test race bench-check
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -35,6 +35,13 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./internal/obs ./internal/obs/export ./internal/obs/replay ./internal/optim ./internal/resilience ./internal/resilience/chaostest ./internal/core ./internal/extract ./internal/experiments ./internal/serve ./internal/verify ./internal/campaign
+
+# bench-check vets and tests the benchmark module (bench/, its own Go module
+# outside ./...), so a change that breaks an API the benchmark calls fails
+# here instead of in a benchmark run.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # verify-invariants runs the correctness harness: the physics-invariant
 # sweeps and differential cross-checks of internal/verify, plus the

@@ -193,7 +193,7 @@ func BenchmarkAmplifierEvaluateUncached(b *testing.B) {
 }
 
 func BenchmarkAmplifierMetricsBand(b *testing.B) {
-	// The raw grid-batched metrics slab on a prebuilt amplifier: compiled
+	// The band kernel's metrics sweep on a prebuilt amplifier: compiled
 	// chains and hoisted device state, no designer aggregation on top.
 	amp, err := core.NewBuilder(device.Golden()).Build(
 		core.Design{Vgs: 0.46, Vds: 3, LIn: 5.6e-9, LDegen: 0.5e-9, LOut: 2.2e-9, COut: 0.5e-12})
@@ -203,7 +203,7 @@ func BenchmarkAmplifierMetricsBand(b *testing.B) {
 	freqs := mathx.Linspace(1.1e9, 1.7e9, 11)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := amp.MetricsBand(freqs, 50); err != nil {
+		if _, err := amp.Sweep(freqs, 50); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,6 +68,35 @@ func TestMuBandIntoZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestMetricsAtZeroAllocSteadyState pins the per-point views: a warmed
+// Amplifier.MetricsAt and TwoStage.MetricsAt run the band kernel on pooled
+// workspaces whose chains stay compiled, so neither may allocate.
+func TestMetricsAtZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	amp, freqs := allocFixture(t)
+	ts, err := NewBuilder(device.Golden()).BuildTwoStage(amp.Design, amp.Design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, metricsAt := range map[string]func(f, z0 float64) (PointMetrics, error){
+		"Amplifier": amp.MetricsAt,
+		"TwoStage":  ts.MetricsAt,
+	} {
+		if _, err := metricsAt(freqs[0], 50); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := metricsAt(freqs[0], 50); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s.MetricsAt steady state allocates %.1f times per call, want 0", name, n)
+		}
+	}
+}
+
 // TestEvaluateMemoHitZeroAlloc pins the memo hit path: once a design is
 // cached, re-evaluating it must not allocate — the serve workers lean on
 // this for repeated-spec attempts.

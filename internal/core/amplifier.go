@@ -48,6 +48,8 @@ func DesignBounds() (lo, hi []float64) {
 
 // Amplifier is a fully materialized preamplifier: the device at its bias
 // with its input/output networks, ready for frequency-domain evaluation.
+// Evaluation workspaces cache its compiled networks, so a built Amplifier
+// is treated as immutable.
 type Amplifier struct {
 	// Dev is the transistor (with LDegen already folded into its common
 	// lead).
@@ -233,13 +235,16 @@ func (b *Builder) Build(d Design) (*Amplifier, error) {
 	}, nil
 }
 
-// NoisyAt returns the complete amplifier as a noisy two-port at f.
+// NoisyAt returns the complete amplifier as a noisy two-port at f: a
+// 1-point view of the band kernel on a pooled workspace.
 func (a *Amplifier) NoisyAt(f float64) (noise.TwoPort, error) {
-	devTP, err := a.Dev.NoisyAt(a.Bias, f)
-	if err != nil {
+	ws := getBandWorkspace()
+	defer putBandWorkspace(ws)
+	freqs := [1]float64{f}
+	if err := a.noisyBandInto(ws, freqs[:]); err != nil {
 		return noise.TwoPort{}, err
 	}
-	return a.Input.Noisy(f).Cascade(devTP).Cascade(a.Output.Noisy(f)), nil
+	return ws.amp[0], nil
 }
 
 // SAt returns the amplifier S-parameters at f referenced to z0.
@@ -267,9 +272,8 @@ type PointMetrics struct {
 	K, Mu float64
 }
 
-// MetricsAt evaluates the amplifier at one frequency — the per-point view
-// of the band engine (see band.go): both paths reduce a noisy two-port to
-// PointMetrics with the same pointMetricsOf.
+// MetricsAt evaluates the amplifier at one frequency, a 1-point view of
+// the band kernel (see band.go).
 func (a *Amplifier) MetricsAt(f, z0 float64) (PointMetrics, error) {
 	tp, err := a.NoisyAt(f)
 	if err != nil {
@@ -278,12 +282,11 @@ func (a *Amplifier) MetricsAt(f, z0 float64) (PointMetrics, error) {
 	return pointMetricsOf(tp, f, z0)
 }
 
-// pointMetricsOf reduces the amplifier's noisy two-port at f to its metric
-// summary; the single definition both the per-point and batch paths share.
+// pointMetricsOf reduces a noisy two-port at f to its metric summary.
 func pointMetricsOf(tp noise.TwoPort, f, z0 float64) (PointMetrics, error) {
 	s, err := tp.S(z0)
 	if err != nil {
-		return PointMetrics{}, err
+		return PointMetrics{}, fmt.Errorf("core: S at %g Hz: %w", f, err)
 	}
 	m := PointMetrics{
 		Freq:  f,
@@ -300,23 +303,13 @@ func pointMetricsOf(tp noise.TwoPort, f, z0 float64) (PointMetrics, error) {
 	return m, nil
 }
 
-// Sweep evaluates the amplifier over a frequency list, riding the band
-// engine. On a band-path error it falls back to the per-point loop so the
-// error carries the historic per-frequency wrapping.
+// Sweep evaluates the amplifier over a frequency list on the band kernel.
 func (a *Amplifier) Sweep(freqs []float64, z0 float64) ([]PointMetrics, error) {
 	out := make([]PointMetrics, len(freqs))
 	ws := getBandWorkspace()
-	err := a.MetricsBandInto(ws, out, freqs, z0)
-	putBandWorkspace(ws)
-	if err == nil {
-		return out, nil
-	}
-	for i, f := range freqs {
-		m, err := a.MetricsAt(f, z0)
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep at %g Hz: %w", f, err)
-		}
-		out[i] = m
+	defer putBandWorkspace(ws)
+	if err := a.MetricsBandInto(ws, out, freqs, z0); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gnsslna/internal/device"
@@ -191,4 +194,47 @@ func TestBuilderValidation(t *testing.T) {
 	if _, err := b.Build(referenceDesign); err == nil {
 		t.Error("builder without device accepted")
 	}
+}
+
+// TestSingularDeviceErrorsNameFrequency pins the error contract of the band
+// kernel without per-point fallbacks: a device whose intrinsic admittance
+// has no Z form (no capacitances, no Ri/Tau, no parasitics) fails Embed at
+// every frequency, and each entry point must surface the singular-network
+// error with the failing frequency in Hz.
+func TestSingularDeviceErrorsNameFrequency(t *testing.T) {
+	dev := device.Golden()
+	dev.Caps = device.CapModel{}
+	dev.Ext = device.Extrinsics{}
+	dev.Ri, dev.Tau = 0, 0
+	b := NewBuilder(dev)
+	check := func(name string, err error, f float64) {
+		t.Helper()
+		if !errors.Is(err, twoport.ErrSingularNetwork) {
+			t.Errorf("%s: error %v, want twoport.ErrSingularNetwork", name, err)
+			return
+		}
+		if hz := fmt.Sprintf("%.3g Hz", f); !strings.Contains(err.Error(), hz) {
+			t.Errorf("%s: error %q does not name %s", name, err, hz)
+		}
+	}
+
+	d := NewDesigner(b)
+	grid, _ := d.SweepGrids()
+	_, err := d.Evaluate(referenceDesign)
+	check("Designer.Evaluate", err, grid[0])
+
+	amp, err := b.Build(referenceDesign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freqs := []float64{1.2e9, 1.5e9}
+	_, err = amp.Sweep(freqs, 50)
+	check("Amplifier.Sweep", err, freqs[0])
+
+	ts, err := b.BuildTwoStage(referenceDesign, referenceDesign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ts.MetricsAt(1.4e9, 50)
+	check("TwoStage.MetricsAt", err, 1.4e9)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"gnsslna/internal/noise"
@@ -10,12 +11,13 @@ import (
 
 // The band engine evaluates an amplifier over a whole frequency grid in
 // structure-of-arrays slabs: the matching networks are compiled once
-// (rfpassive.CompiledChain), the device's bias-dependent small-signal model
-// is hoisted out of the grid loop (device.BandState), and the per-point
-// arithmetic that remains is exactly the per-point path's, so every number
-// is equal (==) to what MetricsAt produces (enforced by internal/verify).
-// Sweep, Network, GroupDelay and Designer.Evaluate all ride this path; the
-// per-point methods remain as thin views.
+// (rfpassive.CompiledChain) and the device's bias-dependent small-signal
+// model is hoisted out of the grid loop (device.BandState). noisyBandInto is
+// the one kernel: Sweep, Network, GroupDelay, Designer.Evaluate and the
+// two-stage cascade ride it, and the per-point NoisyAt, SAt and MetricsAt
+// are 1-point views of it. The stability scan's A-only path (muBandInto)
+// replays the kernel's chain-matrix arithmetic without the noise
+// bookkeeping.
 
 // BandWorkspace holds the reusable slabs of one band evaluation. A zero
 // workspace is ready to use; reusing one across calls with the same
@@ -27,8 +29,8 @@ type BandWorkspace struct {
 	forAmp      *Amplifier
 	ccIn, ccOut *rfpassive.CompiledChain
 
-	in, out, dev []noise.TwoPort
-	abcd         []twoport.Mat2
+	in, out, dev, amp []noise.TwoPort
+	abcd              []twoport.Mat2
 }
 
 var bandPool = sync.Pool{New: func() any { return new(BandWorkspace) }}
@@ -48,10 +50,12 @@ func (ws *BandWorkspace) ensure(a *Amplifier, n int) {
 		ws.in = make([]noise.TwoPort, n)
 		ws.out = make([]noise.TwoPort, n)
 		ws.dev = make([]noise.TwoPort, n)
+		ws.amp = make([]noise.TwoPort, n)
 	}
 	ws.in = ws.in[:n]
 	ws.out = ws.out[:n]
 	ws.dev = ws.dev[:n]
+	ws.amp = ws.amp[:n]
 }
 
 // ensureABCD additionally sizes the chain-matrix slabs used by the A-only
@@ -66,19 +70,29 @@ func (ws *BandWorkspace) ensureABCD(a *Amplifier, n int) {
 	ws.abcd = ws.abcd[:3*n]
 }
 
-// MetricsBandInto evaluates the amplifier at every frequency of the grid,
-// writing into dst (same length as freqs). Each point equals (==) the
-// MetricsAt result at that frequency.
-func (a *Amplifier) MetricsBandInto(ws *BandWorkspace, dst []PointMetrics, freqs []float64, z0 float64) error {
+// noisyBandInto is the band kernel: it writes the complete amplifier's
+// noisy two-port at every grid frequency into ws.amp.
+func (a *Amplifier) noisyBandInto(ws *BandWorkspace, freqs []float64) error {
 	ws.ensure(a, len(freqs))
 	if err := a.Dev.NoisyBandInto(ws.dev, a.Bias, freqs); err != nil {
 		return err
 	}
 	ws.ccIn.NoisyBand(ws.in, freqs)
 	ws.ccOut.NoisyBand(ws.out, freqs)
+	for i := range freqs {
+		ws.amp[i] = ws.in[i].Cascade(ws.dev[i]).Cascade(ws.out[i])
+	}
+	return nil
+}
+
+// MetricsBandInto evaluates the amplifier at every frequency of the grid,
+// writing into dst (same length as freqs).
+func (a *Amplifier) MetricsBandInto(ws *BandWorkspace, dst []PointMetrics, freqs []float64, z0 float64) error {
+	if err := a.noisyBandInto(ws, freqs); err != nil {
+		return err
+	}
 	for i, f := range freqs {
-		tp := ws.in[i].Cascade(ws.dev[i]).Cascade(ws.out[i])
-		m, err := pointMetricsOf(tp, f, z0)
+		m, err := pointMetricsOf(ws.amp[i], f, z0)
 		if err != nil {
 			return err
 		}
@@ -87,33 +101,16 @@ func (a *Amplifier) MetricsBandInto(ws *BandWorkspace, dst []PointMetrics, freqs
 	return nil
 }
 
-// MetricsBand evaluates the amplifier over the grid, allocating the result
-// (the Into variant reuses workspaces for allocation-free steady state).
-func (a *Amplifier) MetricsBand(freqs []float64, z0 float64) ([]PointMetrics, error) {
-	ws := getBandWorkspace()
-	defer putBandWorkspace(ws)
-	out := make([]PointMetrics, len(freqs))
-	if err := a.MetricsBandInto(ws, out, freqs, z0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // sBandInto writes the amplifier S-parameters at every grid frequency into
-// dst, riding the same batch path as MetricsBandInto (each point equals the
-// per-point SAt).
+// dst.
 func (a *Amplifier) sBandInto(ws *BandWorkspace, dst []twoport.Mat2, freqs []float64, z0 float64) error {
-	ws.ensure(a, len(freqs))
-	if err := a.Dev.NoisyBandInto(ws.dev, a.Bias, freqs); err != nil {
+	if err := a.noisyBandInto(ws, freqs); err != nil {
 		return err
 	}
-	ws.ccIn.NoisyBand(ws.in, freqs)
-	ws.ccOut.NoisyBand(ws.out, freqs)
-	for i := range freqs {
-		tp := ws.in[i].Cascade(ws.dev[i]).Cascade(ws.out[i])
-		s, err := tp.S(z0)
+	for i, f := range freqs {
+		s, err := ws.amp[i].S(z0)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: S at %g Hz: %w", f, err)
 		}
 		dst[i] = s
 	}
@@ -122,10 +119,10 @@ func (a *Amplifier) sBandInto(ws *BandWorkspace, dst []twoport.Mat2, freqs []flo
 
 // muBandInto writes the mu source-stability factor at every grid frequency
 // into dst via the A-only fast path: S (hence mu) depends only on the chain
-// matrices, so the noise-correlation congruences — most of the full path's
+// matrices, so the noise-correlation congruences — most of the kernel's
 // cost — are skipped. device.EmbedABCD and the compiled chains replay the
-// full path's A-side arithmetic exactly, so each mu equals (==) the
-// MetricsAt Mu at that frequency.
+// kernel's A-side arithmetic exactly, so each mu equals (==) the MetricsAt
+// Mu at that frequency, and a point fails here exactly when it fails there.
 func (a *Amplifier) muBandInto(ws *BandWorkspace, dst []float64, freqs []float64, z0 float64) error {
 	n := len(freqs)
 	ws.ensureABCD(a, n)
@@ -135,10 +132,10 @@ func (a *Amplifier) muBandInto(ws *BandWorkspace, dst []float64, freqs []float64
 	}
 	ws.ccIn.ABCDBand(aIn, freqs)
 	ws.ccOut.ABCDBand(aOut, freqs)
-	for i := range freqs {
+	for i, f := range freqs {
 		s, err := twoport.ABCDToS(aIn[i].Mul(aDev[i]).Mul(aOut[i]), z0)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: S at %g Hz: %w", f, err)
 		}
 		dst[i] = twoport.MuSource(s)
 	}

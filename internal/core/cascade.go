@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
-	"gnsslna/internal/mathx"
 	"gnsslna/internal/noise"
 	"gnsslna/internal/optim"
-	"gnsslna/internal/twoport"
 )
 
 // TwoStage is a cascade of two single-stage amplifiers sharing the same
@@ -33,17 +33,46 @@ func (b *Builder) BuildTwoStage(d1, d2 Design) (*TwoStage, error) {
 	return &TwoStage{First: first, Second: second}, nil
 }
 
-// NoisyAt returns the cascade as a noisy two-port at f.
+// stageWorkspaces pairs one band workspace per stage. Pooling them
+// together keeps each stage's chains compiled across calls: a single
+// workspace shared by both stages would rebind, and recompile, on every
+// alternation.
+type stageWorkspaces struct {
+	first, second BandWorkspace
+	tp            []noise.TwoPort
+}
+
+var stagePool = sync.Pool{New: func() any { return new(stageWorkspaces) }}
+
+// noisyBandInto writes the cascade's noisy two-port at every grid frequency
+// into ws.tp, each stage riding the amplifier band kernel.
+func (t *TwoStage) noisyBandInto(ws *stageWorkspaces, freqs []float64) error {
+	if err := t.First.noisyBandInto(&ws.first, freqs); err != nil {
+		return err
+	}
+	if err := t.Second.noisyBandInto(&ws.second, freqs); err != nil {
+		return err
+	}
+	if cap(ws.tp) < len(freqs) {
+		ws.tp = make([]noise.TwoPort, len(freqs))
+	}
+	ws.tp = ws.tp[:len(freqs)]
+	for i := range freqs {
+		ws.tp[i] = ws.first.amp[i].Cascade(ws.second.amp[i])
+	}
+	return nil
+}
+
+// NoisyAt returns the cascade as a noisy two-port at f, a 1-point view of
+// the band kernel.
 func (t *TwoStage) NoisyAt(f float64) (noise.TwoPort, error) {
-	a, err := t.First.NoisyAt(f)
-	if err != nil {
+	ws := stagePool.Get().(*stageWorkspaces)
+	defer stagePool.Put(ws)
+	freqs := [1]float64{f}
+	if err := t.noisyBandInto(ws, freqs[:]); err != nil {
 		return noise.TwoPort{}, err
 	}
-	b, err := t.Second.NoisyAt(f)
-	if err != nil {
-		return noise.TwoPort{}, err
-	}
-	return a.Cascade(b), nil
+	return ws.tp[0], nil
 }
 
 // MetricsAt evaluates the cascade at one frequency.
@@ -52,23 +81,7 @@ func (t *TwoStage) MetricsAt(f, z0 float64) (PointMetrics, error) {
 	if err != nil {
 		return PointMetrics{}, err
 	}
-	s, err := tp.S(z0)
-	if err != nil {
-		return PointMetrics{}, err
-	}
-	m := PointMetrics{
-		Freq:  f,
-		NFdB:  mathx.DB10(tp.FigureY(complex(1/z0, 0))),
-		GTdB:  mathx.DB10(twoport.TransducerGain(s, 0, 0)),
-		S11dB: db20Mag(s[0][0]),
-		S22dB: db20Mag(s[1][1]),
-		K:     twoport.RolletK(s),
-		Mu:    twoport.MuSource(s),
-	}
-	if p, err := tp.NoiseParams(z0); err == nil {
-		m.FminDB = p.FminDB()
-	}
-	return m, nil
+	return pointMetricsOf(tp, f, z0)
 }
 
 // Ids returns the total drain current of both stages.
@@ -112,29 +125,33 @@ func (d *Designer) OptimizeTwoStage(spec TwoStageSpec, opts *optim.AttainOptions
 	lo1, hi1 := DesignBounds()
 	lo := append(append([]float64(nil), lo1...), lo1...)
 	hi := append(append([]float64(nil), hi1...), hi1...)
-	points := spec.points()
-	stab := spec.stabPoints()
-	evals := 0
+	// One kernel pass grades the in-band points followed by the stability
+	// scan.
+	grid := spec.points()
+	nBand := len(grid)
+	grid = append(grid, spec.stabPoints()...)
+	// evals is atomic: the optimizer may fan the objective out over workers.
+	var evals atomic.Int64
 
 	evaluate := func(x []float64) (nf, gt, margin, pdc float64, err error) {
 		ts, err := d.Builder.BuildTwoStage(DesignFromVector(x[:6]), DesignFromVector(x[6:]))
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
+		ws := stagePool.Get().(*stageWorkspaces)
+		defer stagePool.Put(ws)
+		if err := ts.noisyBandInto(ws, grid); err != nil {
+			return 0, 0, 0, 0, err
+		}
 		nf, gt, margin = math.Inf(-1), math.Inf(1), math.Inf(1)
-		for _, f := range points {
-			m, err := ts.MetricsAt(f, d.z0())
+		for i, f := range grid {
+			m, err := pointMetricsOf(ws.tp[i], f, d.z0())
 			if err != nil {
 				return 0, 0, 0, 0, err
 			}
-			nf = math.Max(nf, m.NFdB)
-			gt = math.Min(gt, m.GTdB)
-			margin = math.Min(margin, m.Mu-1)
-		}
-		for _, f := range stab {
-			m, err := ts.MetricsAt(f, d.z0())
-			if err != nil {
-				return 0, 0, 0, 0, err
+			if i < nBand {
+				nf = math.Max(nf, m.NFdB)
+				gt = math.Min(gt, m.GTdB)
 			}
 			margin = math.Min(margin, m.Mu-1)
 		}
@@ -142,7 +159,7 @@ func (d *Designer) OptimizeTwoStage(spec TwoStageSpec, opts *optim.AttainOptions
 	}
 
 	obj := func(x []float64) []float64 {
-		evals++
+		evals.Add(1)
 		nf, gt, margin, pdc, err := evaluate(x)
 		if err != nil {
 			return []float64{99, 99, 99, 99}
@@ -178,6 +195,6 @@ func (d *Designer) OptimizeTwoStage(spec TwoStageSpec, opts *optim.AttainOptions
 		StabMargin: margin,
 		PdcW:       pdc,
 		Gamma:      res.Gamma,
-		Evals:      evals,
+		Evals:      int(evals.Load()),
 	}, nil
 }

@@ -107,3 +107,29 @@ func TestOptimizeTwoStageReaches30dB(t *testing.T) {
 		t.Error("missing eval count")
 	}
 }
+
+// TestOptimizeTwoStageWorkersIdentical is the regression test for the eval
+// tally race: the objective runs on opts.Workers goroutines, so the counter
+// must be atomic (`go test -race` flagged the plain increment at Workers
+// 2). Any worker count must return the identical result, Evals included.
+func TestOptimizeTwoStageWorkersIdentical(t *testing.T) {
+	d := NewDesigner(NewBuilder(device.Golden()))
+	spec := DefaultTwoStageSpec()
+	spec.Spec.NPoints = 5
+	run := func(workers int) TwoStageResult {
+		res, err := d.OptimizeTwoStage(spec, &optim.AttainOptions{
+			Seed: 3, GlobalEvals: 300, PolishEvals: 150, Workers: workers,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res
+	}
+	serial, parallel := run(1), run(2)
+	if serial != parallel {
+		t.Fatalf("workers=2 result %+v differs from serial %+v", parallel, serial)
+	}
+	if serial.Evals == 0 {
+		t.Fatal("missing eval count")
+	}
+}

@@ -240,24 +240,16 @@ func (d *Designer) evaluateAmp(amp *Amplifier, x Design) (Evaluation, error) {
 	if len(stabGrid) > 0 {
 		// The wide stability scan only consumes Mu, which depends on the
 		// chain matrices alone: the A-only band path skips all the
-		// noise-correlation work. Its values equal (==) the per-point Mu;
-		// on error, the per-point loop reproduces the historic behavior.
+		// noise-correlation work. Its values equal (==) the kernel's Mu.
 		mus := make([]float64, len(stabGrid))
 		ws := getBandWorkspace()
 		err := amp.muBandInto(ws, mus, stabGrid, d.z0())
 		putBandWorkspace(ws)
-		if err == nil {
-			for _, mu := range mus {
-				ev.StabMargin = math.Min(ev.StabMargin, mu-1)
-			}
-		} else {
-			for _, f := range stabGrid {
-				m, err := amp.MetricsAt(f, d.z0())
-				if err != nil {
-					return Evaluation{}, err
-				}
-				ev.StabMargin = math.Min(ev.StabMargin, m.Mu-1)
-			}
+		if err != nil {
+			return Evaluation{}, err
+		}
+		for _, mu := range mus {
+			ev.StabMargin = math.Min(ev.StabMargin, mu-1)
 		}
 	}
 	return ev, nil

@@ -330,9 +330,10 @@ func fnvBool(h uint64, v bool) uint64 {
 }
 
 // hashCtx digests the full evaluation context content. Unlike the snapshot,
-// the device is hashed by value — name, DC parameter vector, capacitance
-// model, intrinsics, extrinsics and noise temperatures — so two builders
-// holding identical device content share memo entries.
+// the device is hashed by value — name, DC model kind and parameter vector,
+// capacitance model, intrinsics, extrinsics and noise temperatures — so two
+// builders holding identical device content share memo entries.
+// TestHashCtxCoversEveryField keeps the field list complete.
 func hashCtx(c memoCtx) uint64 {
 	h := uint64(fnvOffset64)
 	// Spec (the grid derives from these fields alone).
@@ -364,6 +365,7 @@ func hashCtx(c memoCtx) uint64 {
 	// Device variant.
 	dev := c.dev
 	h = fnvStr(h, dev.Name)
+	h = fnvStr(h, dev.DC.Name())
 	for _, p := range dev.DC.Params() {
 		h = fnvF64(h, p)
 	}

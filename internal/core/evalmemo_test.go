@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -125,4 +127,90 @@ func TestSweepGridsPublicCopyDoesNotAlias(t *testing.T) {
 			t.Fatalf("stability grid corrupted: %v", stab)
 		}
 	}
+}
+
+// memoCacheFields lists the unexported fields hashCtx may ignore: memoized
+// derivations of the hashed inputs, never inputs themselves.
+var memoCacheFields = map[string]bool{
+	"Builder.geom": true,
+}
+
+// TestHashCtxCoversEveryField makes the hand-written context digest
+// complete by construction: it walks every field of Spec, Builder (with its
+// Substrate), the device (with its capacitance, extrinsic, noise and DC
+// models) and perturbs one at a time — every perturbation must move the
+// digest, or a changed input would be served a stale memoized evaluation.
+// A new field fails here until hashCtx covers it; only the unexported
+// caches listed in memoCacheFields are exempt.
+func TestHashCtxCoversEveryField(t *testing.T) {
+	fresh := func() *Designer { return NewDesigner(NewBuilder(device.Golden())) }
+	digest := func(d *Designer) uint64 {
+		ctx, ok := d.snapshotCtx()
+		if !ok {
+			t.Fatal("designer has no evaluation context")
+		}
+		return hashCtx(ctx)
+	}
+	base := digest(fresh())
+	perturb := func(name string, mutate func(d *Designer)) {
+		d := fresh()
+		mutate(d)
+		if digest(d) == base {
+			t.Errorf("hashCtx ignores %s", name)
+		}
+	}
+
+	// visit perturbs every leaf reachable from the value at(d) selects.
+	var visit func(path string, at func(d *Designer) reflect.Value)
+	visit = func(path string, at func(d *Designer) reflect.Value) {
+		v := at(fresh())
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Interface:
+			visit(path, func(d *Designer) reflect.Value { return at(d).Elem() })
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Type().Field(i)
+				name := path + "." + f.Name
+				if !f.IsExported() {
+					if !memoCacheFields[name] {
+						t.Errorf("%s is unexported and not a listed cache field", name)
+					}
+					continue
+				}
+				visit(name, func(d *Designer) reflect.Value { return at(d).Field(i) })
+			}
+		case reflect.Float64:
+			perturb(path, func(d *Designer) { f := at(d); f.SetFloat(f.Float()*1.5 + 1) })
+		case reflect.Int:
+			perturb(path, func(d *Designer) { f := at(d); f.SetInt(f.Int() + 1) })
+		case reflect.Bool:
+			perturb(path, func(d *Designer) { f := at(d); f.SetBool(!f.Bool()) })
+		case reflect.String:
+			perturb(path, func(d *Designer) { f := at(d); f.SetString(f.String() + "'") })
+		default:
+			t.Errorf("%s: field kind %s has no perturbation", path, v.Kind())
+		}
+	}
+	visit("Spec", func(d *Designer) reflect.Value { return reflect.ValueOf(&d.Spec).Elem() })
+	visit("Builder", func(d *Designer) reflect.Value { return reflect.ValueOf(d.Builder).Elem() })
+	perturb("Designer.Z0", func(d *Designer) { d.Z0 = 75 })
+
+	// The DC model sits behind an interface: its parameter vector and its
+	// type must reach the digest too.
+	for i := range device.Golden().DC.Params() {
+		perturb(fmt.Sprintf("Builder.Dev.DC.Params()[%d]", i), func(d *Designer) {
+			p := d.Builder.Dev.DC.Params()
+			p[i] = p[i]*1.5 + 1
+			if err := d.Builder.Dev.DC.SetParams(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	perturb("Builder.Dev.DC type", func(d *Designer) {
+		m := device.NewCurticeCubic()
+		if err := m.SetParams(d.Builder.Dev.DC.Params()); err != nil {
+			t.Fatal(err)
+		}
+		d.Builder.Dev.DC = m
+	})
 }

@@ -8,12 +8,10 @@ import (
 	"gnsslna/internal/twoport"
 )
 
-// Band-sweep fast paths. NoisyAt recomputes the bias-dependent small-signal
-// model — four numerical derivatives of the DC model plus the capacitance
-// fits — at every frequency even though none of it depends on frequency.
-// BandState hoists that work out of the grid loop; the per-point arithmetic
-// that remains is exactly NoisyAt's, so results are value-exact (==) against
-// the per-point path (enforced by internal/verify).
+// Band-sweep paths. The bias-dependent small-signal model — four numerical
+// derivatives of the DC model plus the capacitance fits — does not depend on
+// frequency, so BandState hoists it out of the grid loop. NoisyAt is the
+// 1-point view: it derives the state and calls NoisyAtState.
 
 // BandState is the frequency-independent part of the device evaluation at
 // one bias point.
@@ -24,8 +22,7 @@ type BandState struct {
 	Td float64
 }
 
-// BandStateAt computes the reusable bias state, exactly as NoisyAt derives
-// it per point.
+// BandStateAt computes the reusable bias state.
 func (d *PHEMT) BandStateAt(b Bias) BandState {
 	return BandState{
 		SS: d.SmallSignalAt(b),
@@ -34,7 +31,7 @@ func (d *PHEMT) BandStateAt(b Bias) BandState {
 }
 
 // NoisyAtState returns the embedded noisy two-port at f from a precomputed
-// bias state, equal (==) to NoisyAt(b, f) for the same bias.
+// bias state.
 func (d *PHEMT) NoisyAtState(st BandState, b Bias, f float64) (noise.TwoPort, error) {
 	y, cy := IntrinsicNoisyY(st.SS, f, d.Noise.Tg, st.Td)
 	tp, err := Embed(y, cy, d.Ext, f, d.Noise.Ta)
@@ -46,8 +43,7 @@ func (d *PHEMT) NoisyAtState(st BandState, b Bias, f float64) (noise.TwoPort, er
 }
 
 // NoisyBandInto writes the embedded noisy two-port at each frequency into
-// dst (same length as freqs). The bias state is computed once; each point is
-// equal (==) to NoisyAt(b, freqs[i]).
+// dst (same length as freqs), computing the bias state once.
 func (d *PHEMT) NoisyBandInto(dst []noise.TwoPort, b Bias, freqs []float64) error {
 	st := d.BandStateAt(b)
 	for i, f := range freqs {

@@ -181,15 +181,7 @@ func (d *PHEMT) SmallSignalAt(b Bias) SmallSignal {
 // NoisyAt returns the fully embedded noisy two-port of the device at bias b
 // and frequency f.
 func (d *PHEMT) NoisyAt(b Bias, f float64) (noise.TwoPort, error) {
-	ss := d.SmallSignalAt(b)
-	td := d.Noise.Td(d.Ids(b))
-	y, cy := IntrinsicNoisyY(ss, f, d.Noise.Tg, td)
-	tp, err := Embed(y, cy, d.Ext, f, d.Noise.Ta)
-	if err != nil {
-		return noise.TwoPort{}, fmt.Errorf("device %s at (%.2f, %.2f) V, %.3g Hz: %w",
-			d.Name, b.Vgs, b.Vds, f, err)
-	}
-	return tp, nil
+	return d.NoisyAtState(d.BandStateAt(b), b, f)
 }
 
 // SAt returns the embedded S-parameters of the device at bias b, frequency

@@ -2,150 +2,16 @@ package mna
 
 import (
 	"fmt"
-	"math"
 
-	"gnsslna/internal/mathx"
 	"gnsslna/internal/twoport"
 )
-
-// Stamping is split into a frequency-independent symbolic pass and a cheap
-// per-point numeric refresh. The symbolic pass (compiled lazily, re-run only
-// when elements are added) resolves every element to its scatter targets —
-// the (row, col, sign) cells it touches — and freezes the values of
-// frequency-independent elements (resistors, delay-free VCCS). The numeric
-// refresh then walks the flat plan: no interface dispatch for the common
-// element kinds, no node resolution, no closure indirection for static
-// values. The plan preserves element insertion order and each element's
-// cell-visit order, so the assembled matrix is bit-identical to the direct
-// per-element stamping (same floating-point accumulation order).
-
-// planKind classifies a compiled stamp.
-type planKind uint8
-
-const (
-	// planGeneric falls back to element.stamp (transmission lines, future
-	// element kinds).
-	planGeneric planKind = iota
-	// planStatic scatters a frozen frequency-independent value.
-	planStatic
-	// planTwoNode scatters a per-frequency branch admittance.
-	planTwoNode
-	// planVCCS scatters the delayed transconductance gm*exp(-jw tau).
-	planVCCS
-)
-
-// target is one matrix cell a stamp scatters into.
-type target struct {
-	i, j int
-	neg  bool
-}
-
-// compiledStamp is one element lowered to scatter form.
-type compiledStamp struct {
-	kind    planKind
-	el      element // planGeneric only
-	val     func(w float64) complex128
-	staticV complex128
-	gm, tau float64
-	targets [4]target
-	n       int
-}
-
-func (s *compiledStamp) add(i, j int, neg bool) {
-	if i >= 0 && j >= 0 {
-		s.targets[s.n] = target{i: i, j: j, neg: neg}
-		s.n++
-	}
-}
-
-// scatter accumulates v into the planned cells, in plan order, negating
-// where the symbolic pass recorded a minus — the exact cell-visit sequence
-// (and therefore accumulation order) of the direct stamp methods.
-func (s *compiledStamp) scatter(y *mathx.CMatrix, v complex128) {
-	for k := 0; k < s.n; k++ {
-		t := s.targets[k]
-		if t.neg {
-			y.Add(t.i, t.j, -v)
-		} else {
-			y.Add(t.i, t.j, v)
-		}
-	}
-}
-
-func (s *compiledStamp) stamp(y *mathx.CMatrix, w float64) {
-	switch s.kind {
-	case planStatic:
-		s.scatter(y, s.staticV)
-	case planTwoNode:
-		s.scatter(y, s.val(w))
-	case planVCCS:
-		g := complex(s.gm, 0)
-		if s.tau != 0 {
-			sn, cs := math.Sincos(-w * s.tau)
-			g *= complex(cs, sn)
-		}
-		s.scatter(y, g)
-	default:
-		s.el.stamp(y, w)
-	}
-}
-
-// compileElement lowers one element to its scatter form.
-func compileElement(e element) compiledStamp {
-	switch el := e.(type) {
-	case twoNode:
-		s := compiledStamp{kind: planTwoNode, val: el.y}
-		// Cell order mirrors twoNode.stamp: (a,a), (b,b), (a,b,-), (b,a,-).
-		s.add(el.a, el.a, false)
-		s.add(el.b, el.b, false)
-		if el.a >= 0 && el.b >= 0 {
-			s.add(el.a, el.b, true)
-			s.add(el.b, el.a, true)
-		}
-		if el.static {
-			s.kind = planStatic
-			s.staticV = el.y(0)
-		}
-		return s
-	case vccs:
-		s := compiledStamp{kind: planVCCS, gm: el.gm, tau: el.tau}
-		// Cell order mirrors vccs.stamp.
-		s.add(el.dp, el.cp, false)
-		s.add(el.dp, el.cm, true)
-		s.add(el.dm, el.cp, true)
-		s.add(el.dm, el.cm, false)
-		if el.tau == 0 {
-			s.kind = planStatic
-			s.staticV = complex(el.gm, 0)
-		}
-		return s
-	default:
-		return compiledStamp{kind: planGeneric, el: e}
-	}
-}
-
-// ensurePlan (re)compiles the stamp plan when elements were added since the
-// last compile (elements are append-only, so a length check suffices).
-func (c *Circuit) ensurePlan() {
-	if len(c.plan) == len(c.elems) {
-		return
-	}
-	if cap(c.plan) < len(c.elems) {
-		plan := make([]compiledStamp, len(c.plan), len(c.elems))
-		copy(plan, c.plan)
-		c.plan = plan
-	}
-	for _, e := range c.elems[len(c.plan):] {
-		c.plan = append(c.plan, compileElement(e))
-	}
-}
 
 // SParamsBandInto computes two-port S-parameters between the two named port
 // nodes over the frequency grid, referenced to z0, writing one scattering
 // matrix per frequency into dst (same length as freqs). The ports are
-// resolved and the stamp plan compiled once; each grid point then costs one
-// numeric refresh, one LU factorization and two solves against the reusable
-// workspace — no maps, node resolution or matrix allocation in the loop.
+// resolved once; each grid point then costs one assembly, one LU
+// factorization and two solves against the reusable scratch — no maps or
+// matrix allocation in the loop.
 func (c *Circuit) SParamsBandInto(dst []twoport.Mat2, freqs []float64, portIn, portOut string, z0 float64) error {
 	if len(dst) != len(freqs) {
 		return fmt.Errorf("mna: SParamsBandInto needs len(dst)=len(freqs), got %d/%d", len(dst), len(freqs))
@@ -160,18 +26,12 @@ func (c *Circuit) SParamsBandInto(dst []twoport.Mat2, freqs []float64, portIn, p
 	}
 	ports := [2]int{in, out}
 	g0 := complex(1/z0, 0)
-	c.ensureScratch()
-	c.ensurePlan()
 	for k, f := range freqs {
-		c.y.Zero()
-		w := 2 * math.Pi * f
-		for i := range c.plan {
-			c.plan[i].stamp(c.y, w)
-		}
+		y := c.assemble(f)
 		for _, p := range ports {
-			c.y.Add(p, p, g0)
+			y.Add(p, p, g0)
 		}
-		if err := c.lu.Factorize(c.y); err != nil {
+		if err := c.lu.Factorize(y); err != nil {
 			return fmt.Errorf("mna: solve at %g Hz: %w", f, err)
 		}
 		var s twoport.Mat2
@@ -193,14 +53,4 @@ func (c *Circuit) SParamsBandInto(dst []twoport.Mat2, freqs []float64, portIn, p
 		dst[k] = s
 	}
 	return nil
-}
-
-// SParamsBand is SParamsBandInto with the result slab allocated and wrapped
-// as a Network.
-func (c *Circuit) SParamsBand(freqs []float64, portIn, portOut string, z0 float64) (*twoport.Network, error) {
-	mats := make([]twoport.Mat2, len(freqs))
-	if err := c.SParamsBandInto(mats, freqs, portIn, portOut, z0); err != nil {
-		return nil, err
-	}
-	return twoport.NewNetwork(z0, freqs, mats)
 }

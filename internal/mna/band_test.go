@@ -8,8 +8,8 @@ import (
 )
 
 // bandTestCircuit builds a representative amplifier-shaped netlist hitting
-// every plan kind: static resistors, reactive two-nodes, a delay-free VCCS
-// (frozen), a delayed VCCS, and a transmission line (generic fallback).
+// every element kind: resistors, reactive two-nodes, a delay-free and a
+// delayed VCCS, and a transmission line.
 func bandTestCircuit() *Circuit {
 	c := New()
 	c.AddR("in", "g", 5)
@@ -28,8 +28,8 @@ func bandTestCircuit() *Circuit {
 func bandGrid() []float64 { return mathx.Logspace(100e6, 10e9, 17) }
 
 // TestSParamsBandMatchesFresh demands that one batched grid pass over a
-// reused circuit — static values frozen, scratch and plan reused across
-// points — equal (==) per-point computes on fresh circuits.
+// reused circuit — scratch matrix and factorization reused across points —
+// equal (==) per-point computes on fresh circuits.
 func TestSParamsBandMatchesFresh(t *testing.T) {
 	grid := bandGrid()
 	c := bandTestCircuit()
@@ -49,10 +49,10 @@ func TestSParamsBandMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSParamsBandPlanInvalidation adds an element after a grid pass and
-// demands the next pass see it: the compiled plan must recompile, and the
-// result must equal a fresh circuit built with the full netlist.
-func TestSParamsBandPlanInvalidation(t *testing.T) {
+// TestSParamsBandSeesAddedElement adds an element after a grid pass and
+// demands the next pass see it: the result must equal a fresh circuit built
+// with the full netlist.
+func TestSParamsBandSeesAddedElement(t *testing.T) {
 	grid := bandGrid()
 	c := bandTestCircuit()
 	before := make([]twoport.Mat2, len(grid))
@@ -73,14 +73,14 @@ func TestSParamsBandPlanInvalidation(t *testing.T) {
 	changed := false
 	for i := range grid {
 		if after[i] != want[i] {
-			t.Fatalf("point %d: stale plan — incremental circuit %v != fresh %v", i, after[i], want[i])
+			t.Fatalf("point %d: incremental circuit %v != fresh %v", i, after[i], want[i])
 		}
 		if after[i] != before[i] {
 			changed = true
 		}
 	}
 	if !changed {
-		t.Fatal("added shunt resistor left every S-parameter bit-identical; plan not recompiled")
+		t.Fatal("added shunt resistor left every S-parameter bit-identical")
 	}
 }
 

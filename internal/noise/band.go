@@ -2,12 +2,10 @@ package noise
 
 import "gnsslna/internal/twoport"
 
-// Grid-batched noisy two-port algebra: the structure-of-arrays fast path the
-// band-sweep engine rides. Each function is defined to reproduce the
-// per-point methods exactly — the batched loops call the identical scalar
-// arithmetic in the identical order — so the differential suite can require
-// value-exact agreement (==, which treats the two signed zeros as equal)
-// between the batch and per-point paths.
+// Elementary noisy cascades: the fast path the compiled passive chains ride.
+// Each reproduces the generic Cascade exactly — the identical scalar
+// arithmetic in the identical order — so results agree under == (which
+// treats the two signed zeros as equal).
 
 // CascadeSeries returns the cascade of n followed by the noisy series
 // impedance z whose normalized noise resistance is r (real(z)*T/T0, the CA
@@ -67,30 +65,6 @@ func (n TwoPort) CascadeShunt(y complex128, g float64) TwoPort {
 			{n.CA[1][0] + q1*c01, n.CA[1][1] + q1*c11},
 		},
 	}
-}
-
-// CascadeBand writes the pointwise cascade a[i] followed by b[i] into dst
-// (which must have the common length) and returns dst. Each point is the
-// exact per-point Cascade.
-func CascadeBand(dst, a, b []TwoPort) []TwoPort {
-	for i := range dst {
-		dst[i] = a[i].Cascade(b[i])
-	}
-	return dst
-}
-
-// SBand converts a slab of noisy two-ports to scattering matrices at the
-// common reference z0, writing into dst (same length). Each point is the
-// exact per-point S.
-func SBand(dst []twoport.Mat2, tps []TwoPort, z0 float64) error {
-	for i := range tps {
-		s, err := tps[i].S(z0)
-		if err != nil {
-			return err
-		}
-		dst[i] = s
-	}
-	return nil
 }
 
 // Finite reports whether every entry of the two-port's chain matrix is

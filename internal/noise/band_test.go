@@ -40,38 +40,6 @@ func TestCascadeSeriesShuntExact(t *testing.T) {
 	}
 }
 
-// TestCascadeBandAndSBandPointwise pins the slab loops to the per-point
-// methods.
-func TestCascadeBandAndSBandPointwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	n := 12
-	a := make([]TwoPort, n)
-	b := make([]TwoPort, n)
-	for i := range a {
-		a[i], b[i] = randTwoPort(rng), randTwoPort(rng)
-	}
-	dst := make([]TwoPort, n)
-	CascadeBand(dst, a, b)
-	for i := range dst {
-		if dst[i] != a[i].Cascade(b[i]) {
-			t.Fatalf("CascadeBand[%d] diverges from Cascade", i)
-		}
-	}
-	s := make([]twoport.Mat2, n)
-	if err := SBand(s, a, 50); err != nil {
-		t.Fatal(err)
-	}
-	for i := range s {
-		want, err := a[i].S(50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s[i] != want {
-			t.Fatalf("SBand[%d] diverges from S", i)
-		}
-	}
-}
-
 // TestFinite exercises the non-finite guard the specialized cascades key on.
 func TestFinite(t *testing.T) {
 	var n TwoPort

@@ -52,12 +52,12 @@ type chainStep struct {
 func CompileChain(ch Chain) *CompiledChain {
 	cc := &CompiledChain{steps: make([]chainStep, 0, len(ch))}
 	for _, e := range ch {
-		cc.steps = append(cc.steps, compileElement(e))
+		cc.steps = append(cc.steps, compileStep(e))
 	}
 	return cc
 }
 
-func compileElement(e Element) chainStep {
+func compileStep(e Element) chainStep {
 	switch el := e.(type) {
 	case Inductor:
 		return lumpedStep(e, el.Orient, el.Impedance, el.Temp)

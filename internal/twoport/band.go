@@ -1,38 +1,14 @@
 package twoport
 
-// Grid-batched Mat2 algebra: structure-of-arrays loops over []Mat2 slabs.
-// Every batched function is a pointwise application of the corresponding
-// per-point routine, so results are value-exact (==) against the per-point
-// path and the differential suite in internal/verify can assert as much.
-
-// MulBand writes a[i].Mul(b[i]) into dst (all slices the common length) and
-// returns dst.
-func MulBand(dst, a, b []Mat2) []Mat2 {
-	for i := range dst {
-		dst[i] = a[i].Mul(b[i])
-	}
-	return dst
-}
+// Grid-batched Mat2 algebra: the slab cascade behind Network.Cascade and the
+// elementary products the compiled passive chains apply. Each is exact (==)
+// against the generic per-point routine.
 
 // CascadeSBand writes the S-parameter cascade of a[i] followed by b[i] at the
-// common reference z0 into dst and returns dst. Each point is the exact
-// per-point CascadeS.
+// common reference z0 into dst. Each point is the exact per-point CascadeS.
 func CascadeSBand(z0 float64, dst, a, b []Mat2) error {
 	for i := range dst {
 		s, err := CascadeS(z0, a[i], b[i])
-		if err != nil {
-			return err
-		}
-		dst[i] = s
-	}
-	return nil
-}
-
-// ABCDToSBand converts a slab of chain matrices to scattering matrices at
-// the common reference z0, writing into dst.
-func ABCDToSBand(dst, abcd []Mat2, z0 float64) error {
-	for i := range abcd {
-		s, err := ABCDToS(abcd[i], z0)
 		if err != nil {
 			return err
 		}
@@ -62,32 +38,6 @@ func MulShuntY(a Mat2, y complex128) Mat2 {
 		{a[0][0] + a[0][1]*y, a[0][1]},
 		{a[1][0] + a[1][1]*y, a[1][1]},
 	}
-}
-
-// TransducerGainBand writes the 50-ohm-terminated transducer gain of each
-// scattering matrix into dst (gammaS = gammaL = 0) and returns dst.
-func TransducerGainBand(dst []float64, s []Mat2) []float64 {
-	for i := range s {
-		dst[i] = TransducerGain(s[i], 0, 0)
-	}
-	return dst
-}
-
-// RolletKBand writes the Rollet K factor of each scattering matrix into dst.
-func RolletKBand(dst []float64, s []Mat2) []float64 {
-	for i := range s {
-		dst[i] = RolletK(s[i])
-	}
-	return dst
-}
-
-// MuSourceBand writes the mu source-stability factor of each scattering
-// matrix into dst.
-func MuSourceBand(dst []float64, s []Mat2) []float64 {
-	for i := range s {
-		dst[i] = MuSource(s[i])
-	}
-	return dst
 }
 
 // SameGrid reports whether the two networks sample exactly the same

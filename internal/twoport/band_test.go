@@ -28,25 +28,16 @@ func TestMulSeriesShuntExact(t *testing.T) {
 	}
 }
 
-// TestBandOpsPointwise pins every slab operation to its per-point routine.
+// TestBandOpsPointwise pins the slab cascade to its per-point routine.
 func TestBandOpsPointwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n := 16
 	a := make([]Mat2, n)
 	b := make([]Mat2, n)
 	for i := range a {
-		a[i] = randMat2(rng)
-		// Keep the matrices invertible-ish/passive-ish so the S conversions
-		// stay well-posed: scale toward small reflection.
-		b[i] = randMat2(rng)
+		a[i], b[i] = randMat2(rng), randMat2(rng)
 	}
 	dst := make([]Mat2, n)
-	MulBand(dst, a, b)
-	for i := range dst {
-		if dst[i] != a[i].Mul(b[i]) {
-			t.Fatalf("MulBand[%d] diverges from Mul", i)
-		}
-	}
 	if err := CascadeSBand(50, dst, a, b); err != nil {
 		t.Fatal(err)
 	}
@@ -57,27 +48,6 @@ func TestBandOpsPointwise(t *testing.T) {
 		}
 		if dst[i] != want {
 			t.Fatalf("CascadeSBand[%d] diverges from CascadeS", i)
-		}
-	}
-	if err := ABCDToSBand(dst, a, 50); err != nil {
-		t.Fatal(err)
-	}
-	gt := make([]float64, n)
-	kf := make([]float64, n)
-	mu := make([]float64, n)
-	TransducerGainBand(gt, dst)
-	RolletKBand(kf, dst)
-	MuSourceBand(mu, dst)
-	for i := range dst {
-		want, err := ABCDToS(a[i], 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dst[i] != want {
-			t.Fatalf("ABCDToSBand[%d] diverges from ABCDToS", i)
-		}
-		if gt[i] != TransducerGain(dst[i], 0, 0) || kf[i] != RolletK(dst[i]) || mu[i] != MuSource(dst[i]) {
-			t.Fatalf("band metric [%d] diverges from per-point", i)
 		}
 	}
 }
