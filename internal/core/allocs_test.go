@@ -97,6 +97,34 @@ func TestMetricsAtZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestMetricsAtRebindZeroAlloc pins the single-shot pattern of the
+// optimizer objectives, which build a fresh amplifier and evaluate it at one
+// frequency: the pooled workspace recompiles its chains in place for each
+// new amplifier, so alternating between two amplifiers allocates nothing.
+func TestMetricsAtRebindZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	amp, freqs := allocFixture(t)
+	d := amp.Design
+	d.LIn, d.COut = 3.3e-9, 0.8e-12
+	other, err := NewBuilder(device.Golden()).Build(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := func() {
+		for _, a := range [2]*Amplifier{amp, other} {
+			if _, err := a.MetricsAt(freqs[0], 50); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	both()
+	if n := testing.AllocsPerRun(200, both); n != 0 {
+		t.Errorf("MetricsAt alternating between two amplifiers allocates %.1f times per pair, want 0", n)
+	}
+}
+
 // TestEvaluateMemoHitZeroAlloc pins the memo hit path: once a design is
 // cached, re-evaluating it must not allocate — the serve workers lean on
 // this for repeated-spec attempts.

@@ -199,8 +199,8 @@ func TestBuilderValidation(t *testing.T) {
 // TestSingularDeviceErrorsNameFrequency pins the error contract of the band
 // kernel without per-point fallbacks: a device whose intrinsic admittance
 // has no Z form (no capacitances, no Ri/Tau, no parasitics) fails Embed at
-// every frequency, and each entry point must surface the singular-network
-// error with the failing frequency in Hz.
+// every frequency, and each entry point, the A-only stability scan included,
+// must surface the singular-network error with the failing frequency in Hz.
 func TestSingularDeviceErrorsNameFrequency(t *testing.T) {
 	dev := device.Golden()
 	dev.Caps = device.CapModel{}
@@ -230,6 +230,10 @@ func TestSingularDeviceErrorsNameFrequency(t *testing.T) {
 	freqs := []float64{1.2e9, 1.5e9}
 	_, err = amp.Sweep(freqs, 50)
 	check("Amplifier.Sweep", err, freqs[0])
+	// Evaluate fails in band before its stability scan runs, so drive the
+	// A-only path directly.
+	err = amp.muBandInto(new(BandWorkspace), make([]float64, len(freqs)), freqs, 50)
+	check("stability scan", err, freqs[0])
 
 	ts, err := b.BuildTwoStage(referenceDesign, referenceDesign)
 	if err != nil {

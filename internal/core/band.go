@@ -27,7 +27,7 @@ type BandWorkspace struct {
 	// forAmp keys the compiled chains: compilation reruns when the
 	// workspace is pointed at a different amplifier.
 	forAmp      *Amplifier
-	ccIn, ccOut *rfpassive.CompiledChain
+	ccIn, ccOut rfpassive.CompiledChain
 
 	in, out, dev, amp []noise.TwoPort
 	abcd              []twoport.Mat2
@@ -43,8 +43,8 @@ func putBandWorkspace(ws *BandWorkspace) { bandPool.Put(ws) }
 func (ws *BandWorkspace) ensure(a *Amplifier, n int) {
 	if ws.forAmp != a {
 		ws.forAmp = a
-		ws.ccIn = rfpassive.CompileChain(a.Input)
-		ws.ccOut = rfpassive.CompileChain(a.Output)
+		ws.ccIn.Compile(a.Input)
+		ws.ccOut.Compile(a.Output)
 	}
 	if cap(ws.in) < n {
 		ws.in = make([]noise.TwoPort, n)

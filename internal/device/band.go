@@ -36,10 +36,14 @@ func (d *PHEMT) NoisyAtState(st BandState, b Bias, f float64) (noise.TwoPort, er
 	y, cy := IntrinsicNoisyY(st.SS, f, d.Noise.Tg, st.Td)
 	tp, err := Embed(y, cy, d.Ext, f, d.Noise.Ta)
 	if err != nil {
-		return noise.TwoPort{}, fmt.Errorf("device %s at (%.2f, %.2f) V, %.3g Hz: %w",
-			d.Name, b.Vgs, b.Vds, f, err)
+		return noise.TwoPort{}, d.pointErr(b, f, err)
 	}
 	return tp, nil
+}
+
+// pointErr names the device, bias and frequency an embedding failed at.
+func (d *PHEMT) pointErr(b Bias, f float64, err error) error {
+	return fmt.Errorf("device %s at (%.2f, %.2f) V, %.3g Hz: %w", d.Name, b.Vgs, b.Vds, f, err)
 }
 
 // NoisyBandInto writes the embedded noisy two-port at each frequency into
@@ -120,7 +124,7 @@ func (d *PHEMT) ABCDBandInto(dst []twoport.Mat2, b Bias, freqs []float64) error 
 	for i, f := range freqs {
 		a, err := d.ABCDAtState(st, f)
 		if err != nil {
-			return err
+			return d.pointErr(b, f, err)
 		}
 		dst[i] = a
 	}

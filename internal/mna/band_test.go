@@ -1,10 +1,10 @@
 package mna
 
 import (
+	"errors"
 	"testing"
 
 	"gnsslna/internal/mathx"
-	"gnsslna/internal/twoport"
 )
 
 // bandTestCircuit builds a representative amplifier-shaped netlist hitting
@@ -27,24 +27,22 @@ func bandTestCircuit() *Circuit {
 
 func bandGrid() []float64 { return mathx.Logspace(100e6, 10e9, 17) }
 
-// TestSParamsBandMatchesFresh demands that one batched grid pass over a
-// reused circuit — scratch matrix and factorization reused across points —
-// equal (==) per-point computes on fresh circuits.
+// TestSParamsBandMatchesFresh demands that one grid pass over a reused
+// circuit — scratch matrix and factorization reused across points — equal
+// (==) per-point computes on fresh circuits.
 func TestSParamsBandMatchesFresh(t *testing.T) {
 	grid := bandGrid()
-	c := bandTestCircuit()
-	band := make([]twoport.Mat2, len(grid))
-	if err := c.SParamsBandInto(band, grid, "in", "p2", 50); err != nil {
+	band, err := bandTestCircuit().SParams2(grid, "in", "p2", 50)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, f := range grid {
-		fresh := bandTestCircuit()
-		one := make([]twoport.Mat2, 1)
-		if err := fresh.SParamsBandInto(one, []float64{f}, "in", "p2", 50); err != nil {
+		one, err := bandTestCircuit().SParams2([]float64{f}, "in", "p2", 50)
+		if err != nil {
 			t.Fatalf("fresh solve at %g Hz: %v", f, err)
 		}
-		if band[i] != one[0] {
-			t.Fatalf("at %g Hz: reused-circuit batch S %v != fresh S %v", f, band[i], one[0])
+		if band.S[i] != one.S[0] {
+			t.Fatalf("at %g Hz: reused-circuit grid S %v != fresh S %v", f, band.S[i], one.S[0])
 		}
 	}
 }
@@ -55,27 +53,27 @@ func TestSParamsBandMatchesFresh(t *testing.T) {
 func TestSParamsBandSeesAddedElement(t *testing.T) {
 	grid := bandGrid()
 	c := bandTestCircuit()
-	before := make([]twoport.Mat2, len(grid))
-	if err := c.SParamsBandInto(before, grid, "in", "p2", 50); err != nil {
+	before, err := c.SParams2(grid, "in", "p2", 50)
+	if err != nil {
 		t.Fatal(err)
 	}
 	c.AddR("p2", "0", 200)
-	after := make([]twoport.Mat2, len(grid))
-	if err := c.SParamsBandInto(after, grid, "in", "p2", 50); err != nil {
+	after, err := c.SParams2(grid, "in", "p2", 50)
+	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := bandTestCircuit()
 	fresh.AddR("p2", "0", 200)
-	want := make([]twoport.Mat2, len(grid))
-	if err := fresh.SParamsBandInto(want, grid, "in", "p2", 50); err != nil {
+	want, err := fresh.SParams2(grid, "in", "p2", 50)
+	if err != nil {
 		t.Fatal(err)
 	}
 	changed := false
 	for i := range grid {
-		if after[i] != want[i] {
-			t.Fatalf("point %d: incremental circuit %v != fresh %v", i, after[i], want[i])
+		if after.S[i] != want.S[i] {
+			t.Fatalf("point %d: incremental circuit %v != fresh %v", i, after.S[i], want.S[i])
 		}
-		if after[i] != before[i] {
+		if after.S[i] != before.S[i] {
 			changed = true
 		}
 	}
@@ -84,35 +82,38 @@ func TestSParamsBandSeesAddedElement(t *testing.T) {
 	}
 }
 
-// TestSParamsBandErrors covers the argument contracts.
+// TestSParamsBandErrors covers the port-name contract.
 func TestSParamsBandErrors(t *testing.T) {
 	c := bandTestCircuit()
-	if err := c.SParamsBandInto(make([]twoport.Mat2, 2), []float64{1e9}, "in", "p2", 50); err == nil {
-		t.Error("length mismatch accepted")
+	if _, err := c.SParams2([]float64{1e9}, "nosuch", "p2", 50); !errors.Is(err, ErrNoSuchNode) {
+		t.Errorf("unknown input port: error %v, want ErrNoSuchNode", err)
 	}
-	if err := c.SParamsBandInto(make([]twoport.Mat2, 1), []float64{1e9}, "nosuch", "p2", 50); err == nil {
-		t.Error("unknown input port accepted")
-	}
-	if err := c.SParamsBandInto(make([]twoport.Mat2, 1), []float64{1e9}, "in", "nosuch", 50); err == nil {
-		t.Error("unknown output port accepted")
+	if _, err := c.SParams2([]float64{1e9}, "in", "nosuch", 50); !errors.Is(err, ErrNoSuchNode) {
+		t.Errorf("unknown output port: error %v, want ErrNoSuchNode", err)
 	}
 }
 
-// TestSParams2Delegates pins the legacy per-grid API to the band engine.
+// TestSParams2Delegates pins that SParams2 hands its matrices to
+// twoport.NewNetwork: the network carries the call's z0 and grid, and the
+// grid and reference checks of NewNetwork reach the caller.
 func TestSParams2Delegates(t *testing.T) {
 	grid := bandGrid()
-	c := bandTestCircuit()
-	net, err := c.SParams2(grid, "in", "p2", 50)
+	net, err := bandTestCircuit().SParams2(grid, "in", "p2", 75)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]twoport.Mat2, len(grid))
-	if err := bandTestCircuit().SParamsBandInto(want, grid, "in", "p2", 50); err != nil {
-		t.Fatal(err)
+	if net.Z0 != 75 || len(net.Freqs) != len(grid) || len(net.S) != len(grid) {
+		t.Fatalf("network Z0 %g with %d freqs / %d matrices, want 75 and %d", net.Z0, len(net.Freqs), len(net.S), len(grid))
 	}
-	for i := range grid {
-		if net.S[i] != want[i] {
-			t.Fatalf("point %d: SParams2 %v != SParamsBandInto %v", i, net.S[i], want[i])
+	for i, f := range grid {
+		if net.Freqs[i] != f {
+			t.Fatalf("freq %d: %g, want %g", i, net.Freqs[i], f)
 		}
+	}
+	if _, err := bandTestCircuit().SParams2([]float64{2e9, 1e9}, "in", "p2", 50); err == nil {
+		t.Error("decreasing grid accepted")
+	}
+	if _, err := bandTestCircuit().SParams2(nil, "in", "p2", 50); err == nil {
+		t.Error("empty grid accepted")
 	}
 }

@@ -302,11 +302,44 @@ func (c *Circuit) ZParams(f float64, ports []string) (*mathx.CMatrix, error) {
 // reduction this stays well-posed for networks whose open-circuit parameters
 // do not exist — a series-only ladder with no DC path to ground, or both
 // ports on the same node — and it factorizes once per frequency instead of
-// once per port.
+// once per port. The ports are resolved once; each grid point then costs one
+// assembly, one LU factorization and two solves against the reusable
+// scratch.
 func (c *Circuit) SParams2(freqs []float64, portIn, portOut string, z0 float64) (*twoport.Network, error) {
+	in, ok := c.nodeIndex[portIn]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchNode, portIn)
+	}
+	out, ok := c.nodeIndex[portOut]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchNode, portOut)
+	}
+	ports := [2]int{in, out}
+	g0 := complex(1/z0, 0)
 	mats := make([]twoport.Mat2, len(freqs))
-	if err := c.SParamsBandInto(mats, freqs, portIn, portOut, z0); err != nil {
-		return nil, err
+	for k, f := range freqs {
+		y := c.assemble(f)
+		for _, p := range ports {
+			y.Add(p, p, g0)
+		}
+		if err := c.lu.Factorize(y); err != nil {
+			return nil, fmt.Errorf("mna: solve at %g Hz: %w", f, err)
+		}
+		for j := 0; j < 2; j++ {
+			for i := range c.rhs {
+				c.rhs[i] = 0
+			}
+			c.rhs[ports[j]] += g0 // Norton equivalent of 1 V behind z0
+			if err := c.lu.SolveInto(c.sol, c.rhs); err != nil {
+				return nil, fmt.Errorf("mna: solve at %g Hz: %w", f, err)
+			}
+			for i := 0; i < 2; i++ {
+				mats[k][i][j] = 2 * c.sol[ports[i]]
+				if i == j {
+					mats[k][i][j] -= 1
+				}
+			}
+		}
 	}
 	return twoport.NewNetwork(z0, freqs, mats)
 }

@@ -37,63 +37,82 @@ const (
 
 type chainStep struct {
 	kind stepKind
-	// elem is always retained: generic steps evaluate it directly, and
-	// elementary steps fall back to it on non-finite operands.
+	// elem is always retained: generic steps evaluate it directly,
+	// elementary steps derive their factor from it (zy), and both fall back
+	// to it on non-finite operands.
 	elem Element
-	// zy yields the series impedance (stepSeries) or shunt admittance
-	// (stepShunt) at f.
-	zy func(f float64) complex128
 	// temp is the resolved physical temperature in kelvin.
 	temp float64
+	// cj is a Tee's junction capacitance, frozen at compile time.
+	cj float64
 }
 
 // CompileChain lowers ch to its batched form. The Chain itself is not
 // retained; re-compile after mutating element parameters.
 func CompileChain(ch Chain) *CompiledChain {
-	cc := &CompiledChain{steps: make([]chainStep, 0, len(ch))}
+	cc := new(CompiledChain)
+	cc.Compile(ch)
+	return cc
+}
+
+// Compile lowers ch into cc, replacing what cc held. It reuses cc's step
+// storage, so re-pointing a warm CompiledChain at a chain of no more
+// elements allocates nothing.
+func (cc *CompiledChain) Compile(ch Chain) {
+	cc.steps = cc.steps[:0]
 	for _, e := range ch {
 		cc.steps = append(cc.steps, compileStep(e))
 	}
-	return cc
 }
 
 func compileStep(e Element) chainStep {
 	switch el := e.(type) {
 	case Inductor:
-		return lumpedStep(e, el.Orient, el.Impedance, el.Temp)
+		return lumpedStep(e, el.Orient, el.Temp)
 	case Capacitor:
-		return lumpedStep(e, el.Orient, el.Impedance, el.Temp)
+		return lumpedStep(e, el.Orient, el.Temp)
 	case Resistor:
-		return lumpedStep(e, el.Orient, el.Impedance, el.Temp)
+		return lumpedStep(e, el.Orient, el.Temp)
 	case Tee:
 		// Freeze the geometry-only junction capacitance so the band loop
 		// skips the Hammerstad fit per point (JunctionCapacitance returns
 		// the stored value unchanged, so this is exact).
-		el.CJunction = el.JunctionCapacitance()
-		return chainStep{kind: stepShunt, elem: el, zy: el.TotalShuntY, temp: el.Sub.temp()}
+		return chainStep{kind: stepShunt, elem: e, temp: el.Sub.temp(), cj: el.JunctionCapacitance()}
 	case ShuntBranch:
-		return chainStep{
-			kind: stepShunt,
-			elem: el,
-			zy:   func(f float64) complex128 { return 1 / el.Impedance(f) },
-			temp: resolveTemp(el.Temp),
-		}
+		return chainStep{kind: stepShunt, elem: e, temp: resolveTemp(el.Temp)}
 	default:
 		return chainStep{kind: stepGeneric, elem: e}
 	}
 }
 
-func lumpedStep(e Element, o Orientation, imp func(float64) complex128, temp float64) chainStep {
-	t := resolveTemp(temp)
+func lumpedStep(e Element, o Orientation, temp float64) chainStep {
 	if o == Shunt {
-		return chainStep{
-			kind: stepShunt,
-			elem: e,
-			zy:   func(f float64) complex128 { return 1 / imp(f) },
-			temp: t,
-		}
+		return chainStep{kind: stepShunt, elem: e, temp: resolveTemp(temp)}
 	}
-	return chainStep{kind: stepSeries, elem: e, zy: imp, temp: t}
+	return chainStep{kind: stepSeries, elem: e, temp: resolveTemp(temp)}
+}
+
+// zy returns an elementary step's series impedance (stepSeries) or shunt
+// admittance (stepShunt) at f.
+func (st *chainStep) zy(f float64) complex128 {
+	var z complex128
+	switch el := st.elem.(type) {
+	case Inductor:
+		z = el.Impedance(f)
+	case Capacitor:
+		z = el.Impedance(f)
+	case Resistor:
+		z = el.Impedance(f)
+	case Tee:
+		el.CJunction = st.cj
+		return el.TotalShuntY(f)
+	case ShuntBranch:
+		z = el.Impedance(f)
+	}
+	if st.kind == stepShunt {
+		return 1 / z
+	}
+	return z
 }
 
 func resolveTemp(t float64) float64 {
