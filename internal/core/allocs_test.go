@@ -7,12 +7,13 @@ import (
 	"gnsslna/internal/mathx"
 )
 
-// Allocation fences for the band engine and the evaluation memo: the whole
-// point of the stamp-once/solve-many design is that the steady state runs
-// out of reused slabs, so any new allocation on these paths is a
-// performance regression the benchmarks would only show as noise. Pinned to
-// exactly zero; run under `make verify` (the race pass skips them — the
-// detector instruments allocations).
+// Allocation fences for the band engine, Build and the evaluation memo: the
+// whole point of the stamp-once/solve-many design is that the steady state
+// runs out of reused slabs and shared parts, so any new allocation on these
+// paths is a performance regression the benchmarks would only show as
+// noise. The band and memo paths are pinned to exactly zero, Build to its
+// seven per-design objects; run under `make verify` (the race pass skips
+// them — the detector instruments allocations).
 
 func allocFixture(t *testing.T) (*Amplifier, []float64) {
 	t.Helper()
@@ -122,6 +123,27 @@ func TestMetricsAtRebindZeroAlloc(t *testing.T) {
 	both()
 	if n := testing.AllocsPerRun(200, both); n != 0 {
 		t.Errorf("MetricsAt alternating between two amplifiers allocates %.1f times per pair, want 0", n)
+	}
+}
+
+// TestBuildAllocsWarm pins a Build on a warmed builder at 7 allocations:
+// the device copy, the two chains, the three boxed matching elements (LIn,
+// LOut, COut) and the Amplifier. The bias tees, stabilizer and DC blocks
+// are the builder's shared parts and cost nothing per design.
+func TestBuildAllocsWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	b := NewBuilder(device.Golden())
+	if _, err := b.Build(referenceDesign); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := b.Build(referenceDesign); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 7 {
+		t.Fatalf("warmed Build allocates %.1f times per call, want 7", n)
 	}
 }
 

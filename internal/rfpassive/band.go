@@ -12,7 +12,9 @@ import (
 // shunt-Y factor per frequency, which the band loop applies with the
 // specialized noise.CascadeSeries/CascadeShunt ops instead of the generic
 // 2x2 cascade-plus-congruence. Anything else (nested Chains, foreign
-// Element implementations) keeps the generic per-point path.
+// Element implementations) keeps the generic per-point path. A *Shared
+// element compiles to its inner element's step and reads that factor from
+// the shared per-frequency table, computing it only on a miss.
 //
 // The compiled result is value-exact (==) against Chain.Noisy at every
 // frequency: the elementary ops reproduce the generic arithmetic for finite
@@ -45,6 +47,9 @@ type chainStep struct {
 	temp float64
 	// cj is a Tee's junction capacitance, frozen at compile time.
 	cj float64
+	// shared, when set, stores the step's factor per frequency for every
+	// chain holding the same *Shared element.
+	shared *Shared
 }
 
 // CompileChain lowers ch to its batched form. The Chain itself is not
@@ -80,6 +85,14 @@ func compileStep(e Element) chainStep {
 		return chainStep{kind: stepShunt, elem: e, temp: el.Sub.temp(), cj: el.JunctionCapacitance()}
 	case ShuntBranch:
 		return chainStep{kind: stepShunt, elem: e, temp: resolveTemp(el.Temp)}
+	case *Shared:
+		// The inner element's step, reading the shared table first; a
+		// generic inner step has no single factor to store.
+		st := compileStep(el.Element)
+		if st.kind != stepGeneric {
+			st.shared = el
+		}
+		return st
 	default:
 		return chainStep{kind: stepGeneric, elem: e}
 	}
@@ -93,8 +106,21 @@ func lumpedStep(e Element, o Orientation, temp float64) chainStep {
 }
 
 // zy returns an elementary step's series impedance (stepSeries) or shunt
-// admittance (stepShunt) at f.
+// admittance (stepShunt) at f, from the shared table when the step has one.
 func (st *chainStep) zy(f float64) complex128 {
+	if st.shared == nil {
+		return st.eval(f)
+	}
+	if v, ok := st.shared.lookup(f); ok {
+		return v
+	}
+	v := st.eval(f)
+	st.shared.store(f, v)
+	return v
+}
+
+// eval computes the step's factor at f from its element.
+func (st *chainStep) eval(f float64) complex128 {
 	var z complex128
 	switch el := st.elem.(type) {
 	case Inductor:

@@ -2,18 +2,25 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gnsslna/internal/core"
 	"gnsslna/internal/device"
+	"gnsslna/internal/mathx"
 	"gnsslna/internal/optim"
 	"gnsslna/internal/rfpassive"
+	"gnsslna/internal/twoport"
 )
 
 // chainCorpus wraps the element corpus as chains and adds the composite
-// kinds the batch compiler special-cases: a loaded T-junction and a shunt
-// R+L stabilizer branch.
+// kinds the batch compiler special-cases: a loaded T-junction, a shunt R+L
+// stabilizer branch and a chain nested in a chain. Every chain also appears
+// as a "shared" copy whose elements are each wrapped in rfpassive.Shared,
+// the way an amplifier builder shares its bias tees, stabilizer and DC
+// blocks.
 func chainCorpus() map[string]rfpassive.Chain {
 	out := make(map[string]rfpassive.Chain)
 	for name, e := range elementCorpus() {
@@ -35,20 +42,95 @@ func chainCorpus() map[string]rfpassive.Chain {
 	}
 	out["loaded tee"] = rfpassive.Chain{tee}
 	out["stabilizer R+L"] = rfpassive.Chain{rfpassive.StabilizerRL(75, 3.9e-9)}
+	out["nested chain"] = rfpassive.Chain{inputMatchChain(), rfpassive.NewChipInductor(2.2e-9, rfpassive.Series)}
+	for name, ch := range plainChains(out) {
+		out[sharedPrefix+name] = sharedCopy(ch)
+	}
+	return out
+}
+
+// sharedPrefix names the Shared-wrapped copies in chainCorpus.
+const sharedPrefix = "shared "
+
+// plainChains returns a snapshot of the corpus chains that are not shared
+// copies.
+func plainChains(corpus map[string]rfpassive.Chain) map[string]rfpassive.Chain {
+	out := make(map[string]rfpassive.Chain)
+	for name, ch := range corpus {
+		if !strings.HasPrefix(name, sharedPrefix) {
+			out[name] = ch
+		}
+	}
+	return out
+}
+
+// sharedCopy wraps every element of ch in an rfpassive.Shared of its own.
+func sharedCopy(ch rfpassive.Chain) rfpassive.Chain {
+	out := make(rfpassive.Chain, len(ch))
+	for i, e := range ch {
+		out[i] = rfpassive.NewShared(e)
+	}
 	return out
 }
 
 // TestBatchChainEquivalence compiles every corpus chain and demands the
 // batch path reproduce Chain.Noisy and Chain.ABCD bit-for-bit (==) across
-// the full sweep grid.
+// the full sweep grid. The shared copies run twice, once filling their
+// tables and once reading them, on the sweep grid and on a grid longer than
+// a table holds.
 func TestBatchChainEquivalence(t *testing.T) {
+	long := mathx.Logspace(50e6, 20e9, 300)
 	var r Report
 	for name, ch := range chainCorpus() {
 		r.Add(BatchChainEquivalence(name, ch, sweepGrid()))
+		if !strings.HasPrefix(name, sharedPrefix) {
+			continue
+		}
+		r.Add(BatchChainEquivalence(name+" (table read)", ch, sweepGrid()))
+		for _, pass := range []string{"fill", "read"} {
+			r.Add(BatchChainEquivalence(name+" (long grid, "+pass+")", ch, long))
+		}
 	}
 	if !r.OK() {
 		t.Error(r.String())
 	}
+}
+
+// TestSharedChainBitsAtZeroHz compiles each corpus chain plain and as its
+// shared copy and demands bit-identical noisy two-ports and chain matrices
+// at +0 Hz and -0 Hz, in both orders and twice. Several chains are
+// non-finite there (a series capacitor at DC), which == cannot compare, so
+// this compares the float64 bit patterns: a table that let the two zeros
+// share an entry, or changed a NaN payload, would show here.
+func TestSharedChainBitsAtZeroHz(t *testing.T) {
+	pz, nz := 0.0, math.Copysign(0, -1)
+	corpus := chainCorpus()
+	for name, ch := range plainChains(corpus) {
+		plain, shared := rfpassive.CompileChain(ch), rfpassive.CompileChain(corpus[sharedPrefix+name])
+		for _, f := range []float64{pz, nz, nz, pz} {
+			gotN, wantN := shared.NoisyAt(f), plain.NoisyAt(f)
+			if !sameBits(gotN.A, wantN.A) || !sameBits(gotN.CA, wantN.CA) {
+				t.Errorf("%s at %v Hz: shared noisy two-port %v, want the bits of %v", name, f, gotN, wantN)
+			}
+			if got, want := shared.ABCDAt(f), plain.ABCDAt(f); !sameBits(got, want) {
+				t.Errorf("%s at %v Hz: shared ABCD %v, want the bits of %v", name, f, got, want)
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b twoport.Mat2) bool {
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			x, y := a[i][j], b[i][j]
+			if math.Float64bits(real(x)) != math.Float64bits(real(y)) ||
+				math.Float64bits(imag(x)) != math.Float64bits(imag(y)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestBatchDeviceEquivalence sweeps the golden pHEMT over a bias grid and
