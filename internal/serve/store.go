@@ -51,18 +51,31 @@ func (s *Store) CheckpointPath(id string) (string, error) {
 }
 
 // WriteResult atomically persists the job's result document
-// (temp-file+rename, same discipline as the checkpoints).
+// (temp-file+rename, same discipline as the checkpoints). Each call writes
+// through a temp file of its own, so two writers storing the same job's
+// result (a drained worker finishing while a restarted server resumes the
+// job) cannot rename each other's file away; the last rename wins.
 func (s *Store) WriteResult(id string, result []byte) error {
 	d, err := s.JobDir(id)
 	if err != nil {
 		return err
 	}
-	final := filepath.Join(d, "result.json")
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, result, 0o644); err != nil {
+	f, err := os.CreateTemp(d, "result.json.*.tmp")
+	if err != nil {
 		return fmt.Errorf("serve: write result: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	tmp := f.Name()
+	_, err = f.Write(result)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(d, "result.json"))
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("serve: write result: %w", err)
 	}
