@@ -198,7 +198,7 @@ func cmaes(ctx context.Context, f Objective, lo, hi []float64, opts *CMAESOption
 			}
 			toXInto(xs[k], u)
 		}
-		c.evalBatch(pool, xs, rawf)
+		c.evalBatch(pool, xs, nil, rawf)
 		for k := 0; k < lambda; k++ {
 			raw := rawf[k]
 			fx := raw

@@ -41,9 +41,12 @@ var ErrBadInput = errors.New("optim: invalid input")
 // counters (and the few direct obj calls in goal.go) account evaluations
 // against the resilience controller, so composite solvers never double-count.
 // em, when set, supplies the trace context batch evaluations are attributed
-// under (nil: untraced, the historical zero-overhead path).
+// under (nil: untraced, the historical zero-overhead path). A counter built
+// around a bounded objective fb evaluates its batches through fb instead of
+// f.
 type counter struct {
 	f    Objective
+	fb   BoundedObjective
 	n    int
 	ctrl *resilience.RunController
 	em   *emitter
@@ -53,6 +56,19 @@ func (c *counter) eval(x []float64) float64 {
 	c.n++
 	c.ctrl.AddEvals(1)
 	return c.f(x)
+}
+
+// call runs the raw objective on candidate i of a batch. A bounded
+// objective gets bounds[i], or +Inf when bounds is nil.
+func (c *counter) call(xs [][]float64, bounds []float64, i int) float64 {
+	if c.fb == nil {
+		return c.f(xs[i])
+	}
+	bound := math.Inf(1)
+	if bounds != nil {
+		bound = bounds[i]
+	}
+	return c.fb(xs[i], bound)
 }
 
 // NMOptions configures Nelder-Mead.

@@ -220,27 +220,30 @@ func (p *EvalPool) mapVector(f VectorObjective, xs [][]float64, out [][]float64,
 // objective, and the eval tally (local count plus controller budget) is
 // charged exactly once per candidate before the batch runs — the same total,
 // in the same generation, as the serial loop. With a serial pool it is
-// exactly the historical eval-per-candidate loop.
-func (c *counter) evalBatch(p *EvalPool, xs [][]float64, out []float64) {
+// exactly the historical eval-per-candidate loop. bounds holds each
+// candidate's bound for a bounded counter (nil: +Inf); an evaluation that
+// stops early still counts as one.
+func (c *counter) evalBatch(p *EvalPool, xs [][]float64, bounds, out []float64) {
 	var bt *batchTrace
 	if c.em != nil {
 		bt = c.em.batch()
 	}
 	if p.Workers() <= 1 {
-		if bt == nil {
-			for i := range xs {
-				out[i] = c.eval(xs[i])
-			}
-			return
-		}
 		for i := range xs {
-			t0 := time.Now()
-			out[i] = c.eval(xs[i])
-			bt.observeEval(i, float64(time.Since(t0))/float64(time.Millisecond))
+			var t0 time.Time
+			if bt != nil {
+				t0 = time.Now()
+			}
+			c.n++
+			c.ctrl.AddEvals(1)
+			out[i] = c.call(xs, bounds, i)
+			if bt != nil {
+				bt.observeEval(i, float64(time.Since(t0))/float64(time.Millisecond))
+			}
 		}
 		return
 	}
 	c.n += len(xs)
 	c.ctrl.AddEvals(len(xs))
-	p.each(len(xs), func(i int) { out[i] = c.f(xs[i]) }, bt)
+	p.each(len(xs), func(i int) { out[i] = c.call(xs, bounds, i) }, bt)
 }
