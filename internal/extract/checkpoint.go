@@ -9,7 +9,7 @@ import (
 
 // deviceJSON is the serializable form of a *device.PHEMT: the DC model
 // interface is flattened to its registered name plus parameter vector and
-// rebuilt through device.AllModels on load.
+// rebuilt through device.ModelByName on load.
 type deviceJSON struct {
 	Name        string            `json:"name"`
 	Model       string            `json:"model"`
@@ -31,15 +31,6 @@ type resultJSON struct {
 	SRMSE        float64       `json:"srmse"`
 	SRMSEAfterDE float64       `json:"srmse_after_de"`
 	SEvals       int           `json:"sevals"`
-}
-
-func modelByName(name string) (device.DCModel, error) {
-	for _, m := range device.AllModels() {
-		if m.Name() == name {
-			return m, nil
-		}
-	}
-	return nil, fmt.Errorf("extract: checkpoint references unknown DC model %q", name)
 }
 
 // MarshalJSON serializes the extraction result, including the embedded
@@ -86,9 +77,9 @@ func (r *Result) UnmarshalJSON(b []byte) error {
 	if s.Device == nil {
 		return nil
 	}
-	m, err := modelByName(s.Device.Model)
-	if err != nil {
-		return err
+	m, ok := device.ModelByName(s.Device.Model)
+	if !ok {
+		return fmt.Errorf("extract: checkpoint references unknown DC model %q", s.Device.Model)
 	}
 	if err := m.SetParams(s.Device.ModelParams); err != nil {
 		return fmt.Errorf("extract: checkpoint device params: %w", err)

@@ -2,6 +2,7 @@ package extract
 
 import (
 	"fmt"
+	"math"
 
 	"gnsslna/internal/device"
 	"gnsslna/internal/mathx"
@@ -23,16 +24,64 @@ type DCFitResult struct {
 	Evals int
 }
 
+// dcResidual is the normalized residual (model - measurement) at grid
+// point (i, j) of the I-V grid.
+func dcResidual(m device.DCModel, ds *vna.Dataset, scale float64, i, j int) float64 {
+	return (m.Ids(ds.VgsGrid[i], ds.VdsGrid[j]) - ds.IV[i][j]) / scale
+}
+
 // dcResiduals builds the residual vector (model - measurement, normalized)
 // for the I-V grid.
 func dcResiduals(m device.DCModel, ds *vna.Dataset, scale float64) []float64 {
 	r := make([]float64, 0, len(ds.VgsGrid)*len(ds.VdsGrid))
-	for i, vgs := range ds.VgsGrid {
-		for j, vds := range ds.VdsGrid {
-			r = append(r, (m.Ids(vgs, vds)-ds.IV[i][j])/scale)
+	for i := range ds.VgsGrid {
+		for j := range ds.VdsGrid {
+			r = append(r, dcResidual(m, ds, scale, i, j))
 		}
 	}
 	return r
+}
+
+// dcObjective is the DC fit's global-search objective: the RMS of the
+// normalized I-V residuals, or 1e9 for a parameter vector the model
+// rejects. It counts its evaluations and the grid points it computed.
+type dcObjective struct {
+	m      device.DCModel
+	ds     *vna.Dataset
+	scale  float64
+	evals  int
+	points pointTally
+}
+
+// rmseBounded is the objective as an optim.BoundedObjective. It adds up the
+// sum of squares in dcResiduals' order and returns the partial
+// root-mean-square as soon as that exceeds bound after a Vgs row; the
+// partial sum never decreases, so the full RMS would exceed bound too. An
+// evaluation that runs to the end returns exactly
+// mathx.RMS(dcResiduals(...)).
+func (o *dcObjective) rmseBounded(p []float64, bound float64) float64 {
+	o.evals++
+	if err := o.m.SetParams(p); err != nil {
+		return 1e9
+	}
+	rows, cols := len(o.ds.VgsGrid), len(o.ds.VdsGrid)
+	if rows*cols == 0 {
+		return 0
+	}
+	n := float64(rows * cols)
+	var s float64
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			v := dcResidual(o.m, o.ds, o.scale, i, j)
+			s += v * v
+		}
+		if rms := math.Sqrt(s / n); rms > bound {
+			o.points.add((i+1)*cols, rows*cols)
+			return rms
+		}
+	}
+	o.points.add(rows*cols, rows*cols)
+	return math.Sqrt(s / n)
 }
 
 func maxCurrent(ds *vna.Dataset) float64 {
@@ -82,15 +131,7 @@ func fitDC(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Obse
 	}
 	scale := maxCurrent(ds)
 	lo, hi := m.Bounds()
-	evals := 0
-	obj := func(p []float64) float64 {
-		evals++
-		if err := m.SetParams(p); err != nil {
-			return 1e9
-		}
-		r := dcResiduals(m, ds, scale)
-		return mathx.RMS(r)
-	}
+	obj := &dcObjective{m: m, ds: ds, scale: scale}
 	pop := 10 * len(lo)
 	if pop < 20 {
 		pop = 20
@@ -99,7 +140,7 @@ func fitDC(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Obse
 	if gens < 10 {
 		gens = 10
 	}
-	de, err := optim.DifferentialEvolution(obj, lo, hi, &optim.DEOptions{
+	de, err := deBounded(obj.rmseBounded, lo, hi, &optim.DEOptions{
 		Pop: pop, Generations: gens, Seed: seed,
 		Observer: o, Scope: "extract.step2.dcfit.de",
 		Control: ctrl,
@@ -107,8 +148,9 @@ func fitDC(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Obse
 	if err != nil {
 		return DCFitResult{}, fmt.Errorf("extract: DC global fit: %w", err)
 	}
+	obj.points.emit(o, "extract.step2.dcfit.computed")
 	resid := func(p []float64) []float64 {
-		evals++
+		obj.evals++
 		if err := m.SetParams(p); err != nil {
 			big := make([]float64, len(ds.IV)*len(ds.IV[0]))
 			for i := range big {
@@ -134,6 +176,6 @@ func fitDC(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Obse
 		Model:   m,
 		RMSE:    rel * scale,
 		RelRMSE: rel,
-		Evals:   evals,
+		Evals:   obj.evals,
 	}, nil
 }
