@@ -226,14 +226,8 @@ type ExtractionReport struct {
 // and extracts the named model class ("Curtice-2", "Curtice-3", "Statz",
 // "TOM" or "Angelov") with the three-step procedure.
 func ExtractModel(modelName string, opts Options) (ExtractionReport, error) {
-	var dc device.DCModel
-	for _, m := range device.AllModels() {
-		if m.Name() == modelName {
-			dc = m
-			break
-		}
-	}
-	if dc == nil {
+	dc, ok := device.ModelByName(modelName)
+	if !ok {
 		return ExtractionReport{}, fmt.Errorf("gnsslna: unknown model %q", modelName)
 	}
 	obsv := opts.observer()

@@ -386,3 +386,14 @@ func AllModels() []DCModel {
 		NewAngelov(),
 	}
 }
+
+// ModelByName returns a fresh instance of the DC model whose Name is
+// exactly name, and whether one exists.
+func ModelByName(name string) (DCModel, bool) {
+	for _, m := range AllModels() {
+		if m.Name() == name {
+			return m, true
+		}
+	}
+	return nil, false
+}

@@ -20,6 +20,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
+
+	"gnsslna/internal/device"
 )
 
 // JobType names what a job runs.
@@ -122,6 +124,11 @@ func (s JobSpec) Validate() error {
 	}
 	if s.MaxEvals < 0 || s.TimeoutMS < 0 || s.Trials < 0 {
 		return fmt.Errorf("serve: negative budget in job spec")
+	}
+	if s.Type == TypeExtract && s.Model != "" {
+		if _, ok := device.ModelByName(s.Model); !ok {
+			return fmt.Errorf("serve: unknown DC model %q for an extract job", s.Model)
+		}
 	}
 	return nil
 }

@@ -130,14 +130,8 @@ func runExtract(ctx context.Context, job *Job, checkpoint string, o obs.Observer
 	if model == "" {
 		model = "Angelov"
 	}
-	var dc device.DCModel
-	for _, m := range device.AllModels() {
-		if m.Name() == model {
-			dc = m
-			break
-		}
-	}
-	if dc == nil {
+	dc, ok := device.ModelByName(model)
+	if !ok {
 		return nil, fmt.Errorf("extract: unknown model %q", model)
 	}
 	stage := "serve.extract." + model

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"gnsslna/internal/device"
 	"gnsslna/internal/obs"
 )
 
@@ -255,6 +257,41 @@ func TestServerBadSpec400(t *testing.T) {
 		t.Fatalf("non-JSON body: %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestServerRejectsUnknownExtractModel checks that an extract job naming a
+// DC model the runner does not know is refused at submission: 400, and no
+// job reaches the queue or its journal. An empty model (the default) and
+// every known model name are accepted.
+func TestServerRejectsUnknownExtractModel(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Options{Dir: dir, Workers: 1}, echoRunner(`{}`))
+	resp, _ := postJob(t, ts.URL, JobSpec{Type: TypeExtract, Model: "Bogus"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown model: %d, want 400", resp.StatusCode)
+	}
+	if jobs := s.q.List(""); len(jobs) != 0 {
+		t.Fatalf("unknown model queued %d jobs", len(jobs))
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "queue", segPrefix+"*"+segSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		if recs, _, tail := readSegment(seg); len(recs) != 0 || tail != nil {
+			t.Fatalf("%s holds %d records (tail %v) after a rejected submission", seg, len(recs), tail)
+		}
+	}
+
+	models := []string{""}
+	for _, m := range device.AllModels() {
+		models = append(models, m.Name())
+	}
+	for _, m := range models {
+		if resp, _ := postJob(t, ts.URL, JobSpec{Type: TypeExtract, Model: m}); resp.StatusCode != http.StatusAccepted {
+			t.Errorf("model %q: %d, want 202", m, resp.StatusCode)
+		}
+	}
 }
 
 func TestServerHealthzDegradesToDraining(t *testing.T) {
