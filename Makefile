@@ -44,19 +44,21 @@ bench-check:
 	$(GO) -C bench test ./...
 
 # verify-invariants runs the correctness harness: the physics-invariant
-# sweeps and differential cross-checks of internal/verify, plus the
-# regression tests for every bug the harness has found so far (-count=1
-# defeats the cache so the sweeps really execute).
+# sweeps and differential cross-checks of internal/verify, the regression
+# tests for every bug the harness has found so far, and the bit-for-bit
+# fences of the DC grid kernels and Mat2.Inv's screen (-count=1 defeats
+# the cache so the sweeps really execute).
 verify-invariants:
-	$(GO) test -count=1 ./internal/verify/ ./internal/twoport/ ./internal/mna/ ./internal/touchstone/ ./internal/units/ ./internal/mathx/ ./internal/rfpassive/
+	$(GO) test -count=1 ./internal/verify/ ./internal/twoport/ ./internal/mna/ ./internal/touchstone/ ./internal/units/ ./internal/mathx/ ./internal/rfpassive/ ./internal/device/
 
 # fuzz-smoke gives each native fuzz target a bounded budget (FUZZTIME per
 # target) on top of the committed seed corpora. Go allows one fuzz target
-# per invocation, hence the three runs.
+# per invocation, hence one run per target.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/touchstone/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/units/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/obs/replay/
+	$(GO) test -fuzz=FuzzInvMatchesHadamard -fuzztime=$(FUZZTIME) ./internal/twoport/
 
 # trace-smoke is the end-to-end check of the causal tracing plane: a quick
 # parallel lnaopt run writes a journal, obsreport reconstructs the span tree

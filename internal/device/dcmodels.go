@@ -30,7 +30,25 @@ type DCModel interface {
 	// Bounds returns elementwise lower and upper parameter bounds for
 	// global search.
 	Bounds() (lo, hi []float64)
+	// GridCols prepares a grid evaluation over the drain-voltage axis vds
+	// under the current parameters: it fills cols, which must hold at
+	// least GridColFactors*len(vds) values, with the factors of Ids that
+	// depend on Vds alone, and computes anything that depends on the
+	// parameters alone.
+	GridCols(vds, cols []float64)
+	// GridRow fills dst[j] with Ids(vgs, vds[j]) for the axis cols was
+	// prepared for (len(dst) == len(vds)), bit for bit, computing the
+	// factors that depend on Vgs alone once for the row. The parameters
+	// must not have changed since GridCols filled cols.
+	GridRow(vgs float64, cols, dst []float64)
 }
+
+// GridColFactors is the most Vds-only factors any model keeps per drain
+// voltage: DCModel.GridCols needs GridColFactors*len(vds) scratch values.
+// Each model's Ids is built from the same per-axis helpers as its grid and
+// combines the factors in the same left-to-right order, which is what makes
+// the grid equal Ids bit for bit.
+const GridColFactors = 3
 
 // Gm returns the transconductance dIds/dVgs of a model at a bias point.
 func Gm(m DCModel, vgs, vds float64) float64 {
@@ -79,11 +97,50 @@ func (m *CurticeQuadratic) Name() string { return "Curtice-2" }
 
 // Ids implements DCModel.
 func (m *CurticeQuadratic) Ids(vgs, vds float64) float64 {
-	v := vgs - m.Vto
-	if v <= 0 {
+	r, on := m.row(vgs)
+	if !on {
 		return 0
 	}
-	return m.Beta * v * v * (1 + m.Lambda*vds) * math.Tanh(m.Alpha*vds)
+	lam, t := m.col(vds)
+	return r * lam * t
+}
+
+// row is the Vgs factor Beta (Vgs-Vto)^2; on is false below threshold,
+// where the current is 0.
+func (m *CurticeQuadratic) row(vgs float64) (r float64, on bool) {
+	v := vgs - m.Vto
+	if v <= 0 {
+		return 0, false
+	}
+	return m.Beta * v * v, true
+}
+
+// col returns the Vds factors 1 + Lambda Vds and tanh(Alpha Vds).
+func (m *CurticeQuadratic) col(vds float64) (lam, t float64) {
+	return 1 + m.Lambda*vds, math.Tanh(m.Alpha * vds)
+}
+
+// GridCols implements DCModel.
+func (m *CurticeQuadratic) GridCols(vds, cols []float64) {
+	n := len(vds)
+	lam, t := cols[:n], cols[n:2*n]
+	for j, v := range vds {
+		lam[j], t[j] = m.col(v)
+	}
+}
+
+// GridRow implements DCModel.
+func (m *CurticeQuadratic) GridRow(vgs float64, cols, dst []float64) {
+	r, on := m.row(vgs)
+	if !on {
+		clear(dst)
+		return
+	}
+	n := len(dst)
+	lam, t := cols[:n], cols[n:2*n]
+	for j := range dst {
+		dst[j] = r * lam[j] * t[j]
+	}
 }
 
 // Params implements DCModel.
@@ -115,6 +172,9 @@ func (m *CurticeQuadratic) Bounds() (lo, hi []float64) {
 // V1 = Vgs (1 + Beta (Vds0 - Vds)).
 type CurticeCubic struct {
 	A0, A1, A2, A3, Beta, Gamma, Vds0 float64
+
+	// grid is the clamp of the parameters GridCols last saw, for GridRow.
+	grid ascendingClamp
 }
 
 var _ DCModel = (*CurticeCubic)(nil)
@@ -129,40 +189,97 @@ func (m *CurticeCubic) Name() string { return "Curtice-3" }
 
 // Ids implements DCModel.
 func (m *CurticeCubic) Ids(vgs, vds float64) float64 {
-	v1 := vgs * (1 + m.Beta*(m.Vds0-vds))
+	s, t := m.col(vds)
+	return m.at(m.clampToAscending(), vgs, s, t)
+}
+
+// col returns the Vds factors 1 + Beta (Vds0 - Vds) and tanh(Gamma Vds).
+func (m *CurticeCubic) col(vds float64) (s, t float64) {
+	return 1 + m.Beta*(m.Vds0-vds), math.Tanh(m.Gamma * vds)
+}
+
+// at is the current at vgs from the Vds factors s and t of col.
+func (m *CurticeCubic) at(c ascendingClamp, vgs, s, t float64) float64 {
 	// The cubic fit is only physical on its ascending branch; clamp V1 to
 	// the interval where dIds/dV1 >= 0 so the model pinches off cleanly
 	// instead of re-rising at large negative gate voltages.
-	v1 = m.clampToAscending(v1)
+	v1 := c.apply(vgs * s)
 	i := m.A0 + v1*(m.A1+v1*(m.A2+v1*m.A3))
 	if i <= 0 {
 		return 0
 	}
-	return i * math.Tanh(m.Gamma*vds)
+	return i * t
 }
 
-// clampToAscending restricts v1 to the branch of the cubic where the
+// GridCols implements DCModel. The ascending-branch clamp depends on the
+// parameters alone, so it is computed here once and kept for GridRow.
+func (m *CurticeCubic) GridCols(vds, cols []float64) {
+	n := len(vds)
+	s, t := cols[:n], cols[n:2*n]
+	for j, v := range vds {
+		s[j], t[j] = m.col(v)
+	}
+	m.grid = m.clampToAscending()
+}
+
+// GridRow implements DCModel.
+func (m *CurticeCubic) GridRow(vgs float64, cols, dst []float64) {
+	n := len(dst)
+	s, t := cols[:n], cols[n:2*n]
+	for j := range dst {
+		dst[j] = m.at(m.grid, vgs, s[j], t[j])
+	}
+}
+
+// Kinds of ascendingClamp.
+const (
+	clampNone  = iota // monotone polynomial: V1 unchanged
+	clampFloor        // V1 raised to lo
+	clampCeil         // V1 lowered to hi
+	clampBand         // V1 held inside [lo, hi]
+)
+
+// ascendingClamp restricts V1 to the branch of the cubic where the
 // polynomial is non-decreasing.
-func (m *CurticeCubic) clampToAscending(v1 float64) float64 {
-	// Critical points: roots of 3 A3 v^2 + 2 A2 v + A1 = 0.
+type ascendingClamp struct {
+	kind   int
+	lo, hi float64
+}
+
+func (c ascendingClamp) apply(v1 float64) float64 {
+	switch c.kind {
+	case clampFloor:
+		if v1 < c.lo {
+			return c.lo
+		}
+	case clampCeil:
+		if v1 > c.hi {
+			return c.hi
+		}
+	case clampBand:
+		return math.Min(math.Max(v1, c.lo), c.hi)
+	}
+	return v1
+}
+
+// clampToAscending locates the ascending branch of the current
+// polynomial from its critical points, the roots of 3 A3 v^2 + 2 A2 v +
+// A1 = 0.
+func (m *CurticeCubic) clampToAscending() ascendingClamp {
 	a, b, c := 3*m.A3, 2*m.A2, m.A1
 	if a == 0 {
-		if b == 0 {
-			return v1
-		}
 		// Quadratic current: ascending for v >= -c/b when b > 0.
-		root := -c / b
-		if b > 0 && v1 < root {
-			return root
+		switch {
+		case b > 0:
+			return ascendingClamp{kind: clampFloor, lo: -c / b}
+		case b < 0:
+			return ascendingClamp{kind: clampCeil, hi: -c / b}
 		}
-		if b < 0 && v1 > root {
-			return root
-		}
-		return v1
+		return ascendingClamp{}
 	}
 	disc := b*b - 4*a*c
 	if disc <= 0 {
-		return v1 // monotone cubic
+		return ascendingClamp{} // monotone cubic
 	}
 	sq := math.Sqrt(disc)
 	c1 := (-b - sq) / (2 * a)
@@ -173,13 +290,10 @@ func (m *CurticeCubic) clampToAscending(v1 float64) float64 {
 	if a > 0 {
 		// Ascending on (-inf, c1] and [c2, inf): use the physical upper
 		// branch.
-		if v1 < c2 {
-			return c2
-		}
-		return v1
+		return ascendingClamp{kind: clampFloor, lo: c2}
 	}
 	// a < 0: ascending only on [c1, c2].
-	return math.Min(math.Max(v1, c1), c2)
+	return ascendingClamp{kind: clampBand, lo: c1, hi: c2}
 }
 
 // Params implements DCModel.
@@ -226,20 +340,59 @@ func (m *Statz) Name() string { return "Statz" }
 
 // Ids implements DCModel.
 func (m *Statz) Ids(vgs, vds float64) float64 {
-	v := vgs - m.Vto
-	if v <= 0 {
+	r, on := m.row(vgs)
+	if !on {
 		return 0
 	}
-	sat := 1.0
-	if m.Alpha*vds < 3 {
-		u := 1 - m.Alpha*vds/3
-		sat = 1 - u*u*u
+	sat, lam := m.col(vds)
+	return r * sat * lam
+}
+
+// row is the Vgs factor Beta (Vgs-Vto)^2 / (1 + B (Vgs-Vto)); on is false
+// below threshold, where the current is 0.
+func (m *Statz) row(vgs float64) (r float64, on bool) {
+	v := vgs - m.Vto
+	if v <= 0 {
+		return 0, false
 	}
 	den := 1 + m.B*v
 	if den <= 1e-9 {
 		den = 1e-9
 	}
-	return m.Beta * v * v / den * sat * (1 + m.Lambda*vds)
+	return m.Beta * v * v / den, true
+}
+
+// col returns the Vds factors: the knee K(Vds) and 1 + Lambda Vds.
+func (m *Statz) col(vds float64) (sat, lam float64) {
+	sat = 1.0
+	if m.Alpha*vds < 3 {
+		u := 1 - m.Alpha*vds/3
+		sat = 1 - u*u*u
+	}
+	return sat, 1 + m.Lambda*vds
+}
+
+// GridCols implements DCModel.
+func (m *Statz) GridCols(vds, cols []float64) {
+	n := len(vds)
+	sat, lam := cols[:n], cols[n:2*n]
+	for j, v := range vds {
+		sat[j], lam[j] = m.col(v)
+	}
+}
+
+// GridRow implements DCModel.
+func (m *Statz) GridRow(vgs float64, cols, dst []float64) {
+	r, on := m.row(vgs)
+	if !on {
+		clear(dst)
+		return
+	}
+	n := len(dst)
+	sat, lam := cols[:n], cols[n:2*n]
+	for j := range dst {
+		dst[j] = r * sat[j] * lam[j]
+	}
 }
 
 // Params implements DCModel.
@@ -286,7 +439,21 @@ func (m *TOM) Name() string { return "TOM" }
 
 // Ids implements DCModel.
 func (m *TOM) Ids(vgs, vds float64) float64 {
-	v := vgs - m.Vto + m.Gamma*vds
+	g, t, dl := m.col(vds)
+	return m.at(vgs-m.Vto, g, t, dl)
+}
+
+// col returns the Vds factors Gamma Vds, tanh(Alpha Vds) and Delta Vds.
+// The explicit conversion keeps Gamma Vds rounded on its own, as the grid
+// stores it, on targets that fuse multiply-add.
+func (m *TOM) col(vds float64) (g, t, dl float64) {
+	return float64(m.Gamma * vds), math.Tanh(m.Alpha * vds), m.Delta * vds
+}
+
+// at is the current from the Vgs factor r = Vgs - Vto and the Vds factors
+// of col.
+func (m *TOM) at(r, g, t, dl float64) float64 {
+	v := r + g
 	if v <= 0 {
 		return 0
 	}
@@ -294,12 +461,31 @@ func (m *TOM) Ids(vgs, vds float64) float64 {
 	if q < 1 {
 		q = 1
 	}
-	i0 := m.Beta * math.Pow(v, q) * math.Tanh(m.Alpha*vds)
-	den := 1 + m.Delta*vds*i0
+	i0 := m.Beta * math.Pow(v, q) * t
+	den := 1 + dl*i0
 	if den <= 1e-9 {
 		den = 1e-9
 	}
 	return i0 / den
+}
+
+// GridCols implements DCModel.
+func (m *TOM) GridCols(vds, cols []float64) {
+	n := len(vds)
+	g, t, dl := cols[:n], cols[n:2*n], cols[2*n:3*n]
+	for j, v := range vds {
+		g[j], t[j], dl[j] = m.col(v)
+	}
+}
+
+// GridRow implements DCModel.
+func (m *TOM) GridRow(vgs float64, cols, dst []float64) {
+	n := len(dst)
+	g, t, dl := cols[:n], cols[n:2*n], cols[2*n:3*n]
+	r := vgs - m.Vto
+	for j := range dst {
+		dst[j] = m.at(r, g[j], t[j], dl[j])
+	}
 }
 
 // Params implements DCModel.
@@ -346,9 +532,39 @@ func (m *Angelov) Name() string { return "Angelov" }
 
 // Ids implements DCModel.
 func (m *Angelov) Ids(vgs, vds float64) float64 {
+	lam, t := m.col(vds)
+	return m.row(vgs) * lam * t
+}
+
+// row is the Vgs factor Ipk (1 + tanh(Psi)).
+func (m *Angelov) row(vgs float64) float64 {
 	dv := vgs - m.Vpk
 	psi := dv * (m.P1 + dv*(m.P2+dv*m.P3))
-	return m.Ipk * (1 + math.Tanh(psi)) * (1 + m.Lambda*vds) * math.Tanh(m.Alpha*vds)
+	return m.Ipk * (1 + math.Tanh(psi))
+}
+
+// col returns the Vds factors 1 + Lambda Vds and tanh(Alpha Vds).
+func (m *Angelov) col(vds float64) (lam, t float64) {
+	return 1 + m.Lambda*vds, math.Tanh(m.Alpha * vds)
+}
+
+// GridCols implements DCModel.
+func (m *Angelov) GridCols(vds, cols []float64) {
+	n := len(vds)
+	lam, t := cols[:n], cols[n:2*n]
+	for j, v := range vds {
+		lam[j], t[j] = m.col(v)
+	}
+}
+
+// GridRow implements DCModel.
+func (m *Angelov) GridRow(vgs float64, cols, dst []float64) {
+	n := len(dst)
+	lam, t := cols[:n], cols[n:2*n]
+	r := m.row(vgs)
+	for j := range dst {
+		dst[j] = r * lam[j] * t[j]
+	}
 }
 
 // Params implements DCModel.

@@ -167,9 +167,26 @@ func (d *PHEMT) Ids(b Bias) float64 { return d.DC.Ids(b.Vgs, b.Vds) }
 
 // SmallSignalAt returns the intrinsic small-signal model at the bias point.
 func (d *PHEMT) SmallSignalAt(b Bias) SmallSignal {
+	gm, gds := Conductances(d.DC, b)
+	return d.SmallSignalFrom(b, gm, gds)
+}
+
+// Conductances returns the small-signal conductances a DC model sets at a
+// bias point: the transconductance Gm and the output conductance Gds,
+// floored at 1e-9 S.
+func Conductances(m DCModel, b Bias) (gm, gds float64) {
+	return Gm(m, b.Vgs, b.Vds), math.Max(Gds(m, b.Vgs, b.Vds), 1e-9)
+}
+
+// SmallSignalFrom assembles the small-signal model at bias point b from
+// the conductances gm and gds, as Conductances returns them for d.DC, and
+// the device's capacitances, Ri and Tau. SmallSignalAt is SmallSignalFrom
+// of d.DC's conductances; a caller that holds the DC model fixed computes
+// them once per bias and varies the rest.
+func (d *PHEMT) SmallSignalFrom(b Bias, gm, gds float64) SmallSignal {
 	return SmallSignal{
-		Gm:  Gm(d.DC, b.Vgs, b.Vds),
-		Gds: math.Max(Gds(d.DC, b.Vgs, b.Vds), 1e-9),
+		Gm:  gm,
+		Gds: gds,
 		Cgs: d.Caps.Cgs(b.Vgs),
 		Cgd: d.Caps.Cgd(b.Vds),
 		Cds: d.Caps.Cds,

@@ -85,12 +85,12 @@ func TestBoundedObjectivesMatchFullResiduals(t *testing.T) {
 
 	scale := maxCurrent(ds)
 	for _, m := range device.AllModels() {
-		o := &dcObjective{m: m, ds: ds, scale: scale}
+		o := newDCObjective(m, ds, scale)
 		lo, hi := m.Bounds()
 		for k := 0; k < 4; k++ {
 			p := boxPoint(lo, hi)
 			got := o.rmseBounded(p, math.Inf(1))
-			want := mathx.RMS(dcResiduals(m, ds, scale)) // m now holds p
+			want := mathx.RMS(o.residuals()) // m now holds p
 			if !sameBits(got, want) {
 				t.Errorf("%s candidate %d: bounded DC objective at +Inf = %v, want %v", m.Name(), k, got, want)
 			}

@@ -24,41 +24,52 @@ type DCFitResult struct {
 	Evals int
 }
 
-// dcResidual is the normalized residual (model - measurement) at grid
-// point (i, j) of the I-V grid.
-func dcResidual(m device.DCModel, ds *vna.Dataset, scale float64, i, j int) float64 {
-	return (m.Ids(ds.VgsGrid[i], ds.VdsGrid[j]) - ds.IV[i][j]) / scale
+// dcObjective is the DC fit's global-search objective: the RMS of the
+// normalized I-V residuals, or 1e9 for a parameter vector the model
+// rejects. It counts its evaluations and the grid points it computed, and
+// owns the scratch of the model's grid evaluation, so an evaluation does
+// not allocate.
+type dcObjective struct {
+	m      device.DCModel
+	ds     *vna.Dataset
+	scale  float64
+	cols   []float64 // the model's Vds-only factors (DCModel.GridCols)
+	row    []float64 // one Vgs row of model currents
+	evals  int
+	points pointTally
 }
 
-// dcResiduals builds the residual vector (model - measurement, normalized)
-// for the I-V grid.
-func dcResiduals(m device.DCModel, ds *vna.Dataset, scale float64) []float64 {
-	r := make([]float64, 0, len(ds.VgsGrid)*len(ds.VdsGrid))
-	for i := range ds.VgsGrid {
-		for j := range ds.VdsGrid {
-			r = append(r, dcResidual(m, ds, scale, i, j))
+func newDCObjective(m device.DCModel, ds *vna.Dataset, scale float64) *dcObjective {
+	n := len(ds.VdsGrid)
+	return &dcObjective{
+		m: m, ds: ds, scale: scale,
+		cols: make([]float64, device.GridColFactors*n),
+		row:  make([]float64, n),
+	}
+}
+
+// residuals builds the residual vector (model - measurement, normalized)
+// for the I-V grid at the model's current parameters, row by row.
+func (o *dcObjective) residuals() []float64 {
+	n := len(o.ds.VdsGrid)
+	r := make([]float64, len(o.ds.VgsGrid)*n)
+	o.m.GridCols(o.ds.VdsGrid, o.cols)
+	for i, vgs := range o.ds.VgsGrid {
+		row := r[i*n : (i+1)*n]
+		o.m.GridRow(vgs, o.cols, row)
+		meas := o.ds.IV[i][:n]
+		for j := range row {
+			row[j] = (row[j] - meas[j]) / o.scale
 		}
 	}
 	return r
 }
 
-// dcObjective is the DC fit's global-search objective: the RMS of the
-// normalized I-V residuals, or 1e9 for a parameter vector the model
-// rejects. It counts its evaluations and the grid points it computed.
-type dcObjective struct {
-	m      device.DCModel
-	ds     *vna.Dataset
-	scale  float64
-	evals  int
-	points pointTally
-}
-
 // rmseBounded is the objective as an optim.BoundedObjective. It adds up the
-// sum of squares in dcResiduals' order and returns the partial
+// sum of squares in residuals' order and returns the partial
 // root-mean-square as soon as that exceeds bound after a Vgs row; the
 // partial sum never decreases, so the full RMS would exceed bound too. An
-// evaluation that runs to the end returns exactly
-// mathx.RMS(dcResiduals(...)).
+// evaluation that runs to the end returns exactly mathx.RMS(residuals()).
 func (o *dcObjective) rmseBounded(p []float64, bound float64) float64 {
 	o.evals++
 	if err := o.m.SetParams(p); err != nil {
@@ -70,9 +81,12 @@ func (o *dcObjective) rmseBounded(p []float64, bound float64) float64 {
 	}
 	n := float64(rows * cols)
 	var s float64
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			v := dcResidual(o.m, o.ds, o.scale, i, j)
+	o.m.GridCols(o.ds.VdsGrid, o.cols)
+	for i, vgs := range o.ds.VgsGrid {
+		o.m.GridRow(vgs, o.cols, o.row)
+		meas := o.ds.IV[i][:cols]
+		for j, ids := range o.row {
+			v := (ids - meas[j]) / o.scale
 			s += v * v
 		}
 		if rms := math.Sqrt(s / n); rms > bound {
@@ -131,7 +145,7 @@ func fitDC(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Obse
 	}
 	scale := maxCurrent(ds)
 	lo, hi := m.Bounds()
-	obj := &dcObjective{m: m, ds: ds, scale: scale}
+	obj := newDCObjective(m, ds, scale)
 	pop := 10 * len(lo)
 	if pop < 20 {
 		pop = 20
@@ -158,7 +172,7 @@ func fitDC(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Obse
 			}
 			return big
 		}
-		return dcResiduals(m, ds, scale)
+		return obj.residuals()
 	}
 	lm, err := optim.LevenbergMarquardt(resid, de.X, &optim.LMOptions{
 		MaxIter: 100, Lower: lo, Upper: hi,
@@ -171,7 +185,7 @@ func fitDC(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Obse
 	if err := m.SetParams(lm.X); err != nil {
 		return DCFitResult{}, err
 	}
-	rel := mathx.RMS(dcResiduals(m, ds, scale))
+	rel := mathx.RMS(obj.residuals())
 	return DCFitResult{
 		Model:   m,
 		RMSE:    rel * scale,

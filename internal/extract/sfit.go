@@ -64,6 +64,9 @@ type SResidualBuilder struct {
 	dc    device.DCModel
 	ext   device.Extrinsics
 	norms [2][2]float64
+	// gm and gds are the frozen DC model's conductances at each hot bias
+	// (device.Conductances), aligned with ds.Hot.
+	gm, gds []float64
 	// fitExt, when true, appends the six series parasitics to the parameter
 	// vector (used by the DE-only baseline which has no step 1).
 	fitExt bool
@@ -78,12 +81,19 @@ type SResidualBuilder struct {
 }
 
 // NewSResidual builds a residual evaluator for the dataset with the DC model
-// fixed (already fitted) and parasitics frozen to ext.
+// fixed and parasitics frozen to ext. dc must already be fitted and must
+// not change while the evaluator is in use: the conductances at every hot
+// bias are computed from it here, once, and every candidate reuses them.
 func NewSResidual(ds *vna.Dataset, dc device.DCModel, ext device.Extrinsics, fitExt bool) (*SResidualBuilder, error) {
 	if ds == nil || len(ds.Hot) == 0 {
 		return nil, fmt.Errorf("%w: no hot S-parameter sweeps", ErrInsufficientData)
 	}
 	b := &SResidualBuilder{ds: ds, dc: dc, ext: ext, fitExt: fitExt}
+	b.gm = make([]float64, len(ds.Hot))
+	b.gds = make([]float64, len(ds.Hot))
+	for k, set := range ds.Hot {
+		b.gm[k], b.gds[k] = device.Conductances(dc, set.Bias)
+	}
 	// Normalize each S-parameter entry by its maximum magnitude over the
 	// dataset so S21 (magnitude ~5) does not drown S12 (~0.05).
 	for _, set := range ds.Hot {
@@ -131,10 +141,11 @@ func (b *SResidualBuilder) Bounds() (lo, hi []float64) {
 // Evals returns the number of residual evaluations so far.
 func (b *SResidualBuilder) Evals() int { return int(b.evals.Load()) }
 
-// device materializes a candidate device from a parameter vector.
-func (b *SResidualBuilder) device(p []float64) *device.PHEMT {
-	d := &device.PHEMT{Name: "candidate", DC: b.dc, Ext: b.ext}
-	applyRF(d, p[:rfParamCount])
+// device materializes a candidate device from a parameter vector. It
+// returns a value so an evaluation does not allocate.
+func (b *SResidualBuilder) device(p []float64) device.PHEMT {
+	d := device.PHEMT{Name: "candidate", DC: b.dc, Ext: b.ext}
+	applyRF(&d, p[:rfParamCount])
 	if b.fitExt {
 		d.Ext.Rg, d.Ext.Rs, d.Ext.Rd = p[11], p[12], p[13]
 		d.Ext.Lg, d.Ext.Ls, d.Ext.Ld = p[14], p[15], p[16]
@@ -168,8 +179,8 @@ func (b *SResidualBuilder) Residuals(p []float64) []float64 {
 	b.evals.Add(1)
 	d := b.device(p)
 	out := make([]float64, 0, b.resLen)
-	for _, set := range b.ds.Hot {
-		ss := d.SmallSignalAt(set.Bias)
+	for h, set := range b.ds.Hot {
+		ss := d.SmallSignalFrom(set.Bias, b.gm[h], b.gds[h])
 		for k, f := range set.Net.Freqs {
 			r := b.pointResiduals(ss, d.Ext, f, set.Net.S[k])
 			out = append(out, r[:]...)
@@ -194,8 +205,8 @@ func (b *SResidualBuilder) rmseBounded(p []float64, bound float64) float64 {
 	n := float64(b.resLen)
 	var s float64
 	computed := 0
-	for _, set := range b.ds.Hot {
-		ss := d.SmallSignalAt(set.Bias)
+	for h, set := range b.ds.Hot {
+		ss := d.SmallSignalFrom(set.Bias, b.gm[h], b.gds[h])
 		for k, f := range set.Net.Freqs {
 			for _, v := range b.pointResiduals(ss, d.Ext, f, set.Net.S[k]) {
 				s += v * v

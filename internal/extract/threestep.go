@@ -155,7 +155,7 @@ func ThreeStep(ds *vna.Dataset, dc device.DCModel, cfg Config) (Result, error) {
 	d := sresJoint.device(lm.X)
 	d.Name = "extracted-" + dc.Name()
 	d.Noise = cfg.NoiseModel
-	res.Device = d
+	res.Device = &d
 	res.SRMSE = sresJoint.RMSE(lm.X)
 	res.SEvals = sresJoint.Evals()
 	return res, nil

@@ -10,6 +10,7 @@ package twoport
 
 import (
 	"errors"
+	"math"
 	"math/cmplx"
 )
 
@@ -59,18 +60,44 @@ func (m Mat2) Det() complex128 {
 // determinant many orders below that bound is pure cancellation noise and the
 // cofactor inverse would amplify it into garbage (e.g. S->Z of an ideal
 // series element, where I-S is rank one up to rounding).
+//
+// A square-root-free screen accepts most matrices before that test runs,
+// without changing which matrices it accepts. With s_i row i's sum of
+// |Re|+|Im| over both entries, the screen accepts when max(|Re d|, |Im d|)
+// exceeds 1e-12*(2*s1)*(2*s2). Hypot returns p*sqrt(1+(q/p)^2) with p the
+// larger magnitude, and the rounded square root lies in [1, sqrt(2)], so
+// the computed |d| is at least max(|Re d|, |Im d|) and each computed row
+// norm r_i is at most 2*s_i. Rounding is monotone, so 1e-12*r1*r2 is at
+// most the screen's threshold and the test below would find |d| above it
+// too. Matrices with NaN or infinite entries, zero and nearly singular
+// ones, and ones whose threshold overflows fail the screen and take the
+// test below.
 func (m Mat2) Inv() (Mat2, error) {
 	d := m.Det()
-	r1 := cmplx.Abs(m[0][0]) + cmplx.Abs(m[0][1])
-	r2 := cmplx.Abs(m[1][0]) + cmplx.Abs(m[1][1])
-	if cmplx.Abs(d) <= 1e-12*r1*r2 {
-		return Mat2{}, ErrSingularNetwork
+	if !clearlyNonsingular(m, d) {
+		r1 := cmplx.Abs(m[0][0]) + cmplx.Abs(m[0][1])
+		r2 := cmplx.Abs(m[1][0]) + cmplx.Abs(m[1][1])
+		if cmplx.Abs(d) <= 1e-12*r1*r2 {
+			return Mat2{}, ErrSingularNetwork
+		}
 	}
 	return Mat2{
 		{m[1][1] / d, -m[0][1] / d},
 		{-m[1][0] / d, m[0][0] / d},
 	}, nil
 }
+
+// clearlyNonsingular is Inv's square-root-free screen for a matrix m with
+// determinant d: true only where Inv's Hadamard test would pass.
+func clearlyNonsingular(m Mat2, d complex128) bool {
+	s1 := abs1(m[0][0]) + abs1(m[0][1])
+	s2 := abs1(m[1][0]) + abs1(m[1][1])
+	t := 1e-12 * (2 * s1) * (2 * s2)
+	return math.Abs(real(d)) > t || math.Abs(imag(d)) > t
+}
+
+// abs1 returns |Re v| + |Im v|.
+func abs1(v complex128) float64 { return math.Abs(real(v)) + math.Abs(imag(v)) }
 
 // ConjTranspose returns the Hermitian transpose of m.
 func (m Mat2) ConjTranspose() Mat2 {
