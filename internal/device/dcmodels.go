@@ -33,8 +33,9 @@ type DCModel interface {
 	// GridCols prepares a grid evaluation over the drain-voltage axis vds
 	// under the current parameters: it fills cols, which must hold at
 	// least GridColFactors*len(vds) values, with the factors of Ids that
-	// depend on Vds alone, and computes anything that depends on the
-	// parameters alone.
+	// depend on Vds alone. Like SetParams it may write the model, to keep
+	// what depends on the parameters alone, so it must not run
+	// concurrently with other calls on the same model.
 	GridCols(vds, cols []float64)
 	// GridRow fills dst[j] with Ids(vgs, vds[j]) for the axis cols was
 	// prepared for (len(dst) == len(vds)), bit for bit, computing the
@@ -43,8 +44,9 @@ type DCModel interface {
 	GridRow(vgs float64, cols, dst []float64)
 }
 
-// GridColFactors is the most Vds-only factors any model keeps per drain
-// voltage: DCModel.GridCols needs GridColFactors*len(vds) scratch values.
+// GridColFactors is the largest number of Vds-only factors any model keeps
+// per drain voltage: DCModel.GridCols needs GridColFactors*len(vds)
+// scratch values.
 // Each model's Ids is built from the same per-axis helpers as its grid and
 // combines the factors in the same left-to-right order, which is what makes
 // the grid equal Ids bit for bit.
