@@ -77,7 +77,29 @@ func abs(x float64) float64 {
 func Jacobian(f func([]float64) []float64, x []float64) *Matrix {
 	fx := f(x)
 	j := NewMatrix(len(fx), len(x))
-	xp := append([]float64(nil), x...)
+	jacobianColumns(j, f, x, fx, append([]float64(nil), x...))
+	return j
+}
+
+// JacobianInto is Jacobian without allocation: it writes the forward
+// difference Jacobian of f at x into j, which must be len(fx) x len(x),
+// keeps f(x) in fx and perturbs a copy of x in xp (len(x)). Each result of
+// f is read before f is called again, so f may return the same buffer on
+// every call. It panics if the shapes disagree.
+func JacobianInto(j *Matrix, f func([]float64) []float64, x, fx, xp []float64) {
+	r := f(x)
+	if len(r) != len(fx) || j.rows != len(fx) || j.cols != len(x) || len(xp) != len(x) {
+		panic(fmt.Sprintf("mathx: JacobianInto shape mismatch: J %dx%d, f(x) %d, fx %d, x %d, xp %d",
+			j.rows, j.cols, len(r), len(fx), len(x), len(xp)))
+	}
+	copy(fx, r)
+	copy(xp, x)
+	jacobianColumns(j, f, x, fx, xp)
+}
+
+// jacobianColumns fills j column by column from f(x) = fx, perturbing xp,
+// which holds x on entry and on return.
+func jacobianColumns(j *Matrix, f func([]float64) []float64, x, fx, xp []float64) {
 	for col := range x {
 		h := 1e-7 * (1 + abs(x[col]))
 		xp[col] = x[col] + h
@@ -87,5 +109,4 @@ func Jacobian(f func([]float64) []float64, x []float64) *Matrix {
 			j.Set(row, col, (fp[row]-fx[row])/h)
 		}
 	}
-	return j
 }

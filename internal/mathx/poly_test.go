@@ -95,3 +95,31 @@ func TestJacobianLinearMap(t *testing.T) {
 		}
 	}
 }
+
+// TestJacobianIntoMatchesJacobian: JacobianInto with a function that
+// reuses its output buffer equals Jacobian with fresh slices bit for bit,
+// and leaves x in the perturbation scratch.
+func TestJacobianIntoMatchesJacobian(t *testing.T) {
+	fresh := func(x []float64) []float64 {
+		return []float64{x[0] * x[1], math.Sin(x[2]) - x[0], x[1] * x[1] * x[2]}
+	}
+	buf := make([]float64, 3)
+	reused := func(x []float64) []float64 { return append(buf[:0], fresh(x)...) }
+	x := []float64{0.3, -0.7, 2}
+	want := Jacobian(fresh, x)
+	j := NewMatrix(3, 3)
+	fx, xp := make([]float64, 3), make([]float64, 3)
+	JacobianInto(j, reused, x, fx, xp)
+	for r := 0; r < 3; r++ {
+		for c := 0; c < 3; c++ {
+			if j.At(r, c) != want.At(r, c) {
+				t.Errorf("J[%d][%d] = %v, Jacobian %v", r, c, j.At(r, c), want.At(r, c))
+			}
+		}
+	}
+	for i := range x {
+		if xp[i] != x[i] || fx[i] != fresh(x)[i] {
+			t.Fatalf("scratch after JacobianInto: xp %v fx %v", xp, fx)
+		}
+	}
+}

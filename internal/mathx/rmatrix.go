@@ -69,12 +69,22 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 // Transpose returns the transpose of m.
 func (m *Matrix) Transpose() *Matrix {
 	out := NewMatrix(m.cols, m.rows)
+	m.TransposeInto(out)
+	return out
+}
+
+// TransposeInto writes the transpose of m into dst, which must be
+// m.Cols() x m.Rows() and must not be m.
+func (m *Matrix) TransposeInto(dst *Matrix) {
+	if dst.rows != m.cols || dst.cols != m.rows {
+		panic(fmt.Sprintf("mathx: TransposeInto shape mismatch %dx%d into %dx%d",
+			m.rows, m.cols, dst.rows, dst.cols))
+	}
 	for i := 0; i < m.rows; i++ {
 		for j := 0; j < m.cols; j++ {
-			out.Set(j, i, m.At(i, j))
+			dst.Set(j, i, m.At(i, j))
 		}
 	}
-	return out
 }
 
 // Mul returns the matrix product m * n.
@@ -83,6 +93,19 @@ func (m *Matrix) Mul(n *Matrix) *Matrix {
 		panic(fmt.Sprintf("mathx: Matrix.Mul dimension mismatch %dx%d * %dx%d", m.rows, m.cols, n.rows, n.cols))
 	}
 	out := NewMatrix(m.rows, n.cols)
+	m.MulInto(out, n)
+	return out
+}
+
+// MulInto writes the matrix product m * n into dst, which must be
+// m.Rows() x n.Cols() and must alias neither operand. It adds the products
+// in Mul's order, so the result equals Mul's bit for bit.
+func (m *Matrix) MulInto(dst, n *Matrix) {
+	if m.cols != n.rows || dst.rows != m.rows || dst.cols != n.cols {
+		panic(fmt.Sprintf("mathx: Matrix.MulInto dimension mismatch %dx%d * %dx%d into %dx%d",
+			m.rows, m.cols, n.rows, n.cols, dst.rows, dst.cols))
+	}
+	clear(dst.data)
 	for i := 0; i < m.rows; i++ {
 		for k := 0; k < m.cols; k++ {
 			a := m.data[i*m.cols+k]
@@ -90,42 +113,58 @@ func (m *Matrix) Mul(n *Matrix) *Matrix {
 				continue
 			}
 			for j := 0; j < n.cols; j++ {
-				out.data[i*n.cols+j] += a * n.data[k*n.cols+j]
+				dst.data[i*n.cols+j] += a * n.data[k*n.cols+j]
 			}
 		}
 	}
-	return out
 }
 
 // MulVec returns the matrix-vector product m * v.
 func (m *Matrix) MulVec(v []float64) []float64 {
-	if m.cols != len(v) {
+	out := make([]float64, m.rows)
+	m.MulVecInto(out, v)
+	return out
+}
+
+// MulVecInto writes the matrix-vector product m * v into dst (length
+// m.Rows(), not aliasing v).
+func (m *Matrix) MulVecInto(dst, v []float64) {
+	if m.cols != len(v) || len(dst) != m.rows {
 		panic("mathx: Matrix.MulVec dimension mismatch")
 	}
-	out := make([]float64, m.rows)
 	for i := 0; i < m.rows; i++ {
 		var s float64
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		for j, a := range row {
 			s += a * v[j]
 		}
-		out[i] = s
+		dst[i] = s
 	}
-	return out
 }
 
 // SolveR solves the dense real linear system A x = b using LU with partial
 // pivoting. A and b are not modified.
 func SolveR(a *Matrix, b []float64) ([]float64, error) {
+	lu := a.Clone()
+	x := append([]float64(nil), b...)
+	if err := SolveRInPlace(lu, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveRInPlace is SolveR without allocation: it factorizes a in place
+// (LU with partial pivoting) and overwrites b with the solution of A x = b.
+// On an error both hold partial results.
+func SolveRInPlace(a *Matrix, b []float64) error {
 	if a.rows != a.cols {
-		return nil, fmt.Errorf("mathx: SolveR requires a square matrix, got %dx%d", a.rows, a.cols)
+		return fmt.Errorf("mathx: SolveR requires a square matrix, got %dx%d", a.rows, a.cols)
 	}
 	n := a.rows
 	if len(b) != n {
-		return nil, fmt.Errorf("mathx: SolveR rhs length %d does not match matrix order %d", len(b), n)
+		return fmt.Errorf("mathx: SolveR rhs length %d does not match matrix order %d", len(b), n)
 	}
-	lu := a.Clone()
-	x := append([]float64(nil), b...)
+	lu, x := a, b
 	for col := 0; col < n; col++ {
 		p, pm := col, math.Abs(lu.At(col, col))
 		for r := col + 1; r < n; r++ {
@@ -134,7 +173,7 @@ func SolveR(a *Matrix, b []float64) ([]float64, error) {
 			}
 		}
 		if pm == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != col {
 			for j := 0; j < n; j++ {
@@ -160,7 +199,7 @@ func SolveR(a *Matrix, b []float64) ([]float64, error) {
 		}
 		x[i] /= lu.data[i*n+i]
 	}
-	return x, nil
+	return nil
 }
 
 // LeastSquares solves the overdetermined system A x ~= b in the least-squares
