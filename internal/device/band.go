@@ -2,7 +2,6 @@ package device
 
 import (
 	"fmt"
-	"math"
 
 	"gnsslna/internal/noise"
 	"gnsslna/internal/twoport"
@@ -60,54 +59,16 @@ func (d *PHEMT) NoisyBandInto(dst []noise.TwoPort, b Bias, freqs []float64) erro
 	return nil
 }
 
-// EmbedABCD returns only the chain matrix of the embedded device: the exact
-// A-side arithmetic of Embed — the same conversion sequence in the same
-// order, so the result is equal (==) to Embed(...).A — with every
-// noise-correlation congruence skipped. Stability scans need S (hence A)
-// but none of the noise bookkeeping, which is most of Embed's cost.
+// EmbedABCD returns only the chain matrix of the embedded device:
+// YToABCD of the one embedding sequence (embedY) that Embed runs, so the
+// result is equal (==) to Embed(...).A and it fails exactly where Embed
+// does, with the noise bookkeeping skipped. Stability scans need S (hence
+// A) but none of the noise.
 func EmbedABCD(yInt twoport.Mat2, ex Extrinsics, f float64) (twoport.Mat2, error) {
-	w := 2 * math.Pi * f
-	// FromY: A = YToABCD(yInt).
-	a, err := twoport.YToABCD(yInt)
+	_, _, y, err := embedY(yInt, ex, f)
 	if err != nil {
-		return twoport.Mat2{}, fmt.Errorf("device: embed intrinsic: %w", err)
+		return twoport.Mat2{}, err
 	}
-	// ToZ round-trips through Y: y = ABCDToY(A), z = YToZ(y).
-	y, err := twoport.ABCDToY(a)
-	if err != nil {
-		return twoport.Mat2{}, fmt.Errorf("device: embed to Z: %w", err)
-	}
-	z, err := twoport.YToZ(y)
-	if err != nil {
-		return twoport.Mat2{}, fmt.Errorf("device: embed to Z: %w", err)
-	}
-	zg := complex(ex.Rg, w*ex.Lg)
-	zs := complex(ex.Rs, w*ex.Ls)
-	zd := complex(ex.Rd, w*ex.Ld)
-	// Common-lead impedance adds to every entry of Z (series feedback).
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			z[i][j] += zs
-		}
-	}
-	z[0][0] += zg
-	z[1][1] += zd
-	// FromZ: y = ZToY(z), A = YToABCD(y).
-	y, err = twoport.ZToY(z)
-	if err != nil {
-		return twoport.Mat2{}, fmt.Errorf("device: embed from Z: %w", err)
-	}
-	a, err = twoport.YToABCD(y)
-	if err != nil {
-		return twoport.Mat2{}, fmt.Errorf("device: embed from Z: %w", err)
-	}
-	// ToY then pad susceptances, then the final FromY.
-	y, err = twoport.ABCDToY(a)
-	if err != nil {
-		return twoport.Mat2{}, fmt.Errorf("device: embed pads: %w", err)
-	}
-	y[0][0] += complex(0, w*ex.Cpg)
-	y[1][1] += complex(0, w*ex.Cpd)
 	return twoport.YToABCD(y)
 }
 

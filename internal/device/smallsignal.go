@@ -91,62 +91,56 @@ func IntrinsicNoisyY(ss SmallSignal, f, tg, td float64) (y, cy twoport.Mat2) {
 // parasitics: series gate/drain impedances, the common-lead source
 // impedance (added to every Z entry), and shunt pad capacitances. Resistive
 // parasitics contribute thermal noise at ambient temperature ta.
+//
+// It runs the one embedding sequence (embedY) and carries the noise
+// alongside it in the immittance representations: the intrinsic CY becomes
+// CZ = Z CY Z^H with the intrinsic Z, the thermal noise of Rs (every entry),
+// Rg and Rd adds to CZ, and CY = Y CZ Y^H is taken with the admittance
+// before the pads, which are noiseless. noise.FromY then forms the chain
+// representation once. The A-only embedding EmbedABCD runs the same
+// sequence, so it equals (==) Embed(...).A.
+//
+// Embed fails in two places only: Mat2.Inv finds the intrinsic Y or the
+// embedded Z singular ("device: embed to Z", "device: embed pads"), or the
+// embedded Y has Y21 == 0 and no chain matrix ("noise: FromY"). Embedding
+// through the chain representation also failed on intrinsic admittances
+// without a chain matrix (Y21 == 0, "device: embed intrinsic") and on
+// embedded impedances without one (Z21 == 0, "device: embed from Z"); the
+// immittance sequence never forms those intermediates.
 func Embed(yInt, cyInt twoport.Mat2, ex Extrinsics, f, ta float64) (noise.TwoPort, error) {
-	w := 2 * math.Pi * f
-	tp, err := noise.FromY(yInt, cyInt)
+	zInt, yc, y, err := embedY(yInt, ex, f)
 	if err != nil {
-		return noise.TwoPort{}, fmt.Errorf("device: embed intrinsic: %w", err)
+		return noise.TwoPort{}, err
 	}
-	z, cz, err := tp.ToZ()
-	if err != nil {
-		return noise.TwoPort{}, fmt.Errorf("device: embed to Z: %w", err)
-	}
-	zg := complex(ex.Rg, w*ex.Lg)
-	zs := complex(ex.Rs, w*ex.Ls)
-	zd := complex(ex.Rd, w*ex.Ld)
+	cz := cyInt.Congruence(zInt) // CZ = Z CY Z^H
 	tn := ta / mathx.T0
-	// Common-lead impedance adds to every entry of Z (series feedback).
+	// Common-lead resistance noise adds to every entry of CZ.
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			z[i][j] += zs
 			cz[i][j] += complex(ex.Rs*tn, 0)
 		}
 	}
-	z[0][0] += zg
 	cz[0][0] += complex(ex.Rg*tn, 0)
-	z[1][1] += zd
 	cz[1][1] += complex(ex.Rd*tn, 0)
-	tp, err = noise.FromZ(z, cz)
-	if err != nil {
-		return noise.TwoPort{}, fmt.Errorf("device: embed from Z: %w", err)
-	}
-	// Pad capacitances shunt the external ports (lossless, noiseless).
-	y, cy, err := tp.ToY()
-	if err != nil {
-		return noise.TwoPort{}, fmt.Errorf("device: embed pads: %w", err)
-	}
-	y[0][0] += complex(0, w*ex.Cpg)
-	y[1][1] += complex(0, w*ex.Cpd)
-	return noise.FromY(y, cy)
+	return noise.FromY(y, cz.Congruence(yc)) // CY = Y CZ Y^H before the pads
 }
 
-// SFromSmallSignal returns the embedded S-parameters of an intrinsic
-// small-signal model inside the given extrinsics, without noise bookkeeping.
-// Extraction inner loops use this fast path: the small-signal model per bias
-// is computed once and swept over frequency, and the embedding works
-// directly on 2x2 immittance matrices — the same Y -> Z -> add parasitics ->
-// Y -> add pads -> S sequence as Embed, minus the noise-correlation
-// congruence transforms that are pure overhead on a zero correlation matrix.
-func SFromSmallSignal(ss SmallSignal, ex Extrinsics, f, z0 float64) (twoport.Mat2, error) {
+// embedY is the one embedding sequence every embedding runs: z = yInt^-1,
+// the common-lead impedance Zs added to every entry of z (series feedback),
+// Zg to z11 and Zd to z22, yc = z^-1, then the pad susceptances jwCpg and
+// jwCpd added to y11 and y22. It returns the intrinsic impedance zInt, the
+// admittance yc after the series parasitics and before the pads, and the
+// external admittance y. Only Mat2.Inv's singularity test can fail it.
+func embedY(yInt twoport.Mat2, ex Extrinsics, f float64) (zInt, yc, y twoport.Mat2, err error) {
 	w := 2 * math.Pi * f
-	z, err := IntrinsicY(ss, f).Inv()
+	zInt, err = yInt.Inv()
 	if err != nil {
-		return twoport.Mat2{}, fmt.Errorf("device: embed to Z: %w", err)
+		return zInt, yc, y, fmt.Errorf("device: embed to Z: %w", err)
 	}
 	zg := complex(ex.Rg, w*ex.Lg)
 	zs := complex(ex.Rs, w*ex.Ls)
 	zd := complex(ex.Rd, w*ex.Ld)
-	// Common-lead impedance adds to every entry of Z (series feedback).
+	z := zInt
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			z[i][j] += zs
@@ -154,13 +148,27 @@ func SFromSmallSignal(ss SmallSignal, ex Extrinsics, f, z0 float64) (twoport.Mat
 	}
 	z[0][0] += zg
 	z[1][1] += zd
-	y, err := z.Inv()
+	yc, err = z.Inv()
 	if err != nil {
-		return twoport.Mat2{}, fmt.Errorf("device: embed pads: %w", err)
+		return zInt, yc, y, fmt.Errorf("device: embed pads: %w", err)
 	}
 	// Pad capacitances shunt the external ports (lossless).
+	y = yc
 	y[0][0] += complex(0, w*ex.Cpg)
 	y[1][1] += complex(0, w*ex.Cpd)
+	return zInt, yc, y, nil
+}
+
+// SFromSmallSignal returns the embedded S-parameters of an intrinsic
+// small-signal model inside the given extrinsics, without noise bookkeeping:
+// YToS of the one embedding sequence (embedY) that Embed and EmbedABCD run.
+// Extraction inner loops use this path: the small-signal model per bias is
+// computed once and swept over frequency.
+func SFromSmallSignal(ss SmallSignal, ex Extrinsics, f, z0 float64) (twoport.Mat2, error) {
+	_, _, y, err := embedY(IntrinsicY(ss, f), ex, f)
+	if err != nil {
+		return twoport.Mat2{}, err
+	}
 	return twoport.YToS(y, z0)
 }
 
