@@ -45,8 +45,9 @@ bench-check:
 
 # verify-invariants runs the correctness harness: the physics-invariant
 # sweeps and differential cross-checks of internal/verify, the regression
-# tests for every bug the harness has found so far, and the bit-for-bit
-# fences of the DC grid kernels and Mat2.Inv's screen (-count=1 defeats
+# tests for every bug the harness has found so far, the bit-for-bit
+# fences of the DC grid kernels, the device embedding and Mat2.Inv's
+# screen, and the embedding's 256-bit accuracy oracle (-count=1 defeats
 # the cache so the sweeps really execute).
 verify-invariants:
 	$(GO) test -count=1 ./internal/verify/ ./internal/twoport/ ./internal/mna/ ./internal/touchstone/ ./internal/units/ ./internal/mathx/ ./internal/rfpassive/ ./internal/device/
@@ -59,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/units/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/obs/replay/
 	$(GO) test -fuzz=FuzzInvMatchesHadamard -fuzztime=$(FUZZTIME) ./internal/twoport/
+	$(GO) test -fuzz=FuzzEmbedABCDMatchesEmbed -fuzztime=$(FUZZTIME) ./internal/device/
 
 # trace-smoke is the end-to-end check of the causal tracing plane: a quick
 # parallel lnaopt run writes a journal, obsreport reconstructs the span tree
