@@ -44,8 +44,8 @@ func BatchChainEquivalence(context string, ch rfpassive.Chain, freqs []float64) 
 
 // BatchDeviceEquivalence demands the A-only embedding the stability scan
 // uses (EmbedABCD) reproduce the chain matrix of the full noisy embedding
-// (Embed) at every frequency of the grid: two implementations of the same
-// conversion sequence.
+// (Embed) at every frequency of the grid: the two run one immittance
+// sequence and differ only in the noise bookkeeping, which must not touch A.
 func BatchDeviceEquivalence(context string, dev *device.PHEMT, b device.Bias, freqs []float64) []Violation {
 	var out []Violation
 	abcd := make([]twoport.Mat2, len(freqs))
