@@ -172,3 +172,21 @@ func TestEvaluateMemoHitZeroAlloc(t *testing.T) {
 		t.Fatalf("memo-hit Evaluate allocates %.1f times per call, want 0", n)
 	}
 }
+
+// TestTrialStopZeroAlloc pins a bounded evaluation's stop check: writing
+// the penalized partial vector and asking the predicate about it and about
+// the unusable vector allocates nothing.
+func TestTrialStopZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	ev := Evaluation{WorstNFdB: 0.6, MinGTdB: 15, WorstS11dB: -12, WorstS22dB: -11, StabMargin: -0.1, PdcW: 0.1}
+	tr := trial{exceeds: func(v []float64) bool { return v[0] > 1 }, obj: make([]float64, len(unusable))}
+	if n := testing.AllocsPerRun(200, func() {
+		if !tr.stop(&ev) {
+			t.Fatal("the check did not stop")
+		}
+	}); n != 0 {
+		t.Fatalf("the stop check allocates %.1f times per call, want 0", n)
+	}
+}

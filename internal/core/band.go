@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"gnsslna/internal/device"
 	"gnsslna/internal/noise"
 	"gnsslna/internal/rfpassive"
 	"gnsslna/internal/twoport"
@@ -31,6 +32,11 @@ type BandWorkspace struct {
 
 	in, out, dev, amp []noise.TwoPort
 	abcd              []twoport.Mat2
+
+	// pts and mus are Designer.evaluateAmp's scratch: the in-band metrics
+	// and the stability scan's mu.
+	pts []PointMetrics
+	mus []float64
 }
 
 var bandPool = sync.Pool{New: func() any { return new(BandWorkspace) }}
@@ -68,6 +74,38 @@ func (ws *BandWorkspace) ensureABCD(a *Amplifier, n int) {
 		ws.abcd = make([]twoport.Mat2, 3*n)
 	}
 	ws.abcd = ws.abcd[:3*n]
+}
+
+// metricsScratch binds the workspace to a and returns its metrics scratch
+// sized for n points.
+func (ws *BandWorkspace) metricsScratch(a *Amplifier, n int) []PointMetrics {
+	if ws.forAmp != a {
+		ws.ensure(a, 0)
+	}
+	if cap(ws.pts) < n {
+		ws.pts = make([]PointMetrics, n)
+	}
+	return ws.pts[:n]
+}
+
+// muScratch returns the workspace's mu scratch sized for n points.
+func (ws *BandWorkspace) muScratch(n int) []float64 {
+	if cap(ws.mus) < n {
+		ws.mus = make([]float64, n)
+	}
+	return ws.mus[:n]
+}
+
+// metricsAtState grades one frequency on the kernel's per-point path: the
+// embedded device from its hoisted bias state, the compiled chains, the
+// cascade and the metrics, each equal (==) to the band kernel's value at
+// f. ws must be bound to a.
+func (a *Amplifier) metricsAtState(ws *BandWorkspace, st device.BandState, f, z0 float64) (PointMetrics, error) {
+	dev, err := a.Dev.NoisyAtState(st, a.Bias, f)
+	if err != nil {
+		return PointMetrics{}, err
+	}
+	return pointMetricsOf(ws.ccIn.NoisyAt(f).Cascade(dev).Cascade(ws.ccOut.NoisyAt(f)), f, z0)
 }
 
 // noisyBandInto is the band kernel: it writes the complete amplifier's

@@ -136,7 +136,7 @@ func (d *Designer) EvaluateDistributed(x DistributedDesign) (Evaluation, error) 
 	if err != nil {
 		return Evaluation{}, err
 	}
-	return d.evaluateAmp(amp, Design{Vgs: x.Vgs, Vds: x.Vds, LDegen: x.LDegen})
+	return d.evaluateAmp(amp, Design{Vgs: x.Vgs, Vds: x.Vds, LDegen: x.LDegen}, nil)
 }
 
 // DistributedResult reports the distributed-topology optimization.

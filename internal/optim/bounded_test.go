@@ -141,3 +141,87 @@ func TestDEBoundedNaNParentNeverStopsEarly(t *testing.T) {
 		t.Error("no trial ran against a NaN parent")
 	}
 }
+
+// TestStopAboveMargin pins the DE trial predicate: it holds only once the
+// KS value exceeds the bound by the margin, and never for a +Inf or NaN
+// bound.
+func TestStopAboveMargin(t *testing.T) {
+	id := func(v []float64) float64 { return v[0] }
+	for _, bound := range []float64{0, 1, -3, 250} {
+		margin := ksMargin * (1 + math.Abs(bound))
+		stop := stopAbove(id, bound)
+		for _, c := range []struct {
+			v    float64
+			want bool
+		}{
+			{bound, false},
+			{math.Nextafter(bound, math.Inf(1)), false},
+			{bound + margin/2, false},
+			{bound + 2*margin, true},
+			{math.Inf(1), true},
+			{math.NaN(), false},
+		} {
+			if got := stop([]float64{c.v}); got != c.want {
+				t.Errorf("bound %v: stop(%v) = %v, want %v", bound, c.v, got, c.want)
+			}
+		}
+	}
+	for _, bound := range []float64{math.Inf(1), math.NaN()} {
+		if stopAbove(id, bound) != nil {
+			t.Errorf("bound %v: got a predicate, want nil", bound)
+		}
+	}
+	if stopAbove(id, math.Inf(-1))([]float64{math.Inf(1)}) {
+		t.Error("a -Inf bound stopped a trial")
+	}
+}
+
+// pointsObjective is a bounded vector objective shaped like a band
+// evaluation: each component is the running worst case over five
+// "frequency points", graded one at a time, and the objective stops once
+// exceeds holds for the vector so far. stops counts the early returns.
+func pointsObjective(stops *atomic.Int64) (VectorObjective, BoundedVectorObjective) {
+	bounded := func(x []float64, exceeds func([]float64) bool) []float64 {
+		v := []float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
+		for k := 0; k < 5; k++ {
+			w := 0.3 * float64(k)
+			v[0] = math.Max(v[0], (x[0]-w)*(x[0]-w)+0.1*x[1])
+			v[1] = math.Max(v[1], (x[1]+w)*(x[1]+w)-0.2*x[0])
+			v[2] = math.Max(v[2], math.Abs(x[0]+x[1]-w))
+			if exceeds != nil && exceeds(v) {
+				stops.Add(1)
+				return v
+			}
+		}
+		return v
+	}
+	return func(x []float64) []float64 { return bounded(x, nil) }, bounded
+}
+
+// TestGoalAttainBoundedMatchesPlain runs the improved method on a bounded
+// objective and on the same objective without its bound, serial and
+// parallel: results and evaluation counts must be equal, and some DE
+// trials must stop early.
+func TestGoalAttainBoundedMatchesPlain(t *testing.T) {
+	goals := []Goal{{"a", 0.2, 1}, {"b", 0.1, 2}, {"c", 0, 0.5}}
+	lo, hi := []float64{-2, -2}, []float64{2, 2}
+	for _, workers := range []int{1, 2} {
+		var stops atomic.Int64
+		plain, bounded := pointsObjective(&stops)
+		opts := AttainOptions{Seed: 7, GlobalEvals: 1200, PolishEvals: 600, Workers: workers}
+		want, err := GoalAttainImproved(plain, goals, lo, hi, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := GoalAttainImprovedBounded(bounded, goals, lo, hi, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers %d: bounded %+v, plain %+v", workers, got, want)
+		}
+		if stops.Load() == 0 {
+			t.Errorf("workers %d: no trial stopped early", workers)
+		}
+	}
+}

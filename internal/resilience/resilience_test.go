@@ -229,6 +229,41 @@ func TestSafeVector(t *testing.T) {
 	}
 }
 
+// TestSafeBoundedVector drives the bounded form: the predicate reaches the
+// objective, a non-finite vector it stopped on (the predicate holds for it
+// and for the penalty vector) comes back unchecked and resets the fault
+// streak, and a non-finite vector the predicate does not cover is
+// quarantined as before.
+func TestSafeBoundedVector(t *testing.T) {
+	ctrl := NewController(ControllerOptions{})
+	sv := NewSafeBoundedVector(func(x []float64, exceeds func([]float64) bool) []float64 {
+		v := []float64{x[0], math.Inf(1)}
+		if exceeds != nil && exceeds(v) && exceeds([]float64{99, 99}) {
+			return v
+		}
+		return []float64{x[0], math.NaN()}
+	}, 2, &SafeOptions{Penalty: 99, BreakerK: 2, Control: ctrl})
+	above := func(limit float64) func([]float64) bool {
+		return func(v []float64) bool { return v[0] > limit }
+	}
+
+	if got := sv.EvalBounded([]float64{5}, above(100)); got[0] != 99 || got[1] != 99 {
+		t.Fatalf("uncovered non-finite vector = %v, want the penalty vector", got)
+	}
+	if got := sv.EvalBounded([]float64{200}, above(50)); got[0] != 200 || !math.IsInf(got[1], 1) {
+		t.Fatalf("stopped vector = %v, want it unchecked", got)
+	}
+	if got := sv.Eval([]float64{1}); got[0] != 99 {
+		t.Fatalf("plain call = %v, want the penalty vector", got)
+	}
+	if sv.NonFinite() != 2 || ctrl.BreakerTripped() {
+		t.Fatalf("nonfinite %d, breaker tripped %v: the stop should have reset the streak", sv.NonFinite(), ctrl.BreakerTripped())
+	}
+	if sv.Eval([]float64{1}); !ctrl.BreakerTripped() {
+		t.Fatal("two consecutive faults did not trip the breaker")
+	}
+}
+
 func TestCountedSourceMatchesStdStream(t *testing.T) {
 	ref := rand.New(rand.NewSource(42))
 	cs := NewCountedSource(42)
