@@ -90,7 +90,7 @@ func TestBoundedObjectivesMatchFullResiduals(t *testing.T) {
 		for k := 0; k < 4; k++ {
 			p := boxPoint(lo, hi)
 			got := o.rmseBounded(p, math.Inf(1))
-			want := mathx.RMS(o.residuals()) // m now holds p
+			want := mathx.RMS(o.residualsInto(make([]float64, o.residualLen()), p))
 			if !sameBits(got, want) {
 				t.Errorf("%s candidate %d: bounded DC objective at +Inf = %v, want %v", m.Name(), k, got, want)
 			}

@@ -48,28 +48,39 @@ func newDCObjective(m device.DCModel, ds *vna.Dataset, scale float64) *dcObjecti
 	}
 }
 
-// residuals builds the residual vector (model - measurement, normalized)
-// for the I-V grid at the model's current parameters, row by row.
-func (o *dcObjective) residuals() []float64 {
+// residualLen is the length of the residual vector: one entry per I-V
+// grid point.
+func (o *dcObjective) residualLen() int { return len(o.ds.VgsGrid) * len(o.ds.VdsGrid) }
+
+// residualsInto sets the model to p and writes the residual vector (model
+// - measurement, normalized) of the I-V grid into dst, row by row; a
+// vector the model rejects scores 1e6 at every point. dst has length
+// residualLen; it is returned.
+func (o *dcObjective) residualsInto(dst, p []float64) []float64 {
+	if err := o.m.SetParams(p); err != nil {
+		for i := range dst {
+			dst[i] = 1e6
+		}
+		return dst
+	}
 	n := len(o.ds.VdsGrid)
-	r := make([]float64, len(o.ds.VgsGrid)*n)
 	o.m.GridCols(o.ds.VdsGrid, o.cols)
 	for i, vgs := range o.ds.VgsGrid {
-		row := r[i*n : (i+1)*n]
+		row := dst[i*n : (i+1)*n]
 		o.m.GridRow(vgs, o.cols, row)
 		meas := o.ds.IV[i][:n]
 		for j := range row {
 			row[j] = (row[j] - meas[j]) / o.scale
 		}
 	}
-	return r
+	return dst
 }
 
 // rmseBounded is the objective as an optim.BoundedObjective. It adds up the
-// sum of squares in residuals' order and returns the partial
+// sum of squares in residualsInto's order and returns the partial
 // root-mean-square as soon as that exceeds bound after a Vgs row; the
 // partial sum never decreases, so the full RMS would exceed bound too. An
-// evaluation that runs to the end returns exactly mathx.RMS(residuals()).
+// evaluation that runs to the end returns exactly the RMS of residualsInto.
 func (o *dcObjective) rmseBounded(p []float64, bound float64) float64 {
 	o.evals++
 	if err := o.m.SetParams(p); err != nil {
@@ -163,16 +174,12 @@ func fitDC(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Obse
 		return DCFitResult{}, fmt.Errorf("extract: DC global fit: %w", err)
 	}
 	obj.points.emit(o, "extract.step2.dcfit.computed")
+	// Levenberg-Marquardt copies the residuals it keeps, so the fit's
+	// residual vectors share one buffer.
+	buf := make([]float64, obj.residualLen())
 	resid := func(p []float64) []float64 {
 		obj.evals++
-		if err := m.SetParams(p); err != nil {
-			big := make([]float64, len(ds.IV)*len(ds.IV[0]))
-			for i := range big {
-				big[i] = 1e6
-			}
-			return big
-		}
-		return obj.residuals()
+		return obj.residualsInto(buf, p)
 	}
 	lm, err := optim.LevenbergMarquardt(resid, de.X, &optim.LMOptions{
 		MaxIter: 100, Lower: lo, Upper: hi,
@@ -185,7 +192,7 @@ func fitDC(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Obse
 	if err := m.SetParams(lm.X); err != nil {
 		return DCFitResult{}, err
 	}
-	rel := mathx.RMS(obj.residuals())
+	rel := mathx.RMS(obj.residualsInto(buf, lm.X))
 	return DCFitResult{
 		Model:   m,
 		RMSE:    rel * scale,

@@ -2,6 +2,7 @@ package extract
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"gnsslna/internal/device"
@@ -103,6 +104,45 @@ func TestBoundedObjectivesDoNotAllocate(t *testing.T) {
 		p := m.Params()
 		if n := testing.AllocsPerRun(50, func() { o.rmseBounded(p, math.Inf(1)) }); n != 0 {
 			t.Errorf("%s DC objective allocates %.1f times per evaluation, want 0", m.Name(), n)
+		}
+	}
+}
+
+// TestLMResidualsDoNotAllocate pins the residual functions Levenberg-
+// Marquardt calls n+2 times per iteration to zero allocations: each fit
+// writes every residual vector into one buffer. Their values equal the
+// fresh vectors the public Residuals returns.
+func TestLMResidualsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	ds := testDataset(t, 1)
+	golden := device.Golden()
+	for _, fitExt := range []bool{false, true} {
+		b, err := NewSResidual(ds, golden.DC, golden.Ext, fitExt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := rfVector(golden)
+		if fitExt {
+			e := golden.Ext
+			p = append(p, e.Rg, e.Rs, e.Rd, e.Lg, e.Ls, e.Ld)
+		}
+		resid := b.lmResiduals()
+		if got, want := resid(p), b.Residuals(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("S residuals (fitExt=%v) differ from Residuals", fitExt)
+		}
+		if n := testing.AllocsPerRun(50, func() { resid(p) }); n != 0 {
+			t.Errorf("S residuals (fitExt=%v) allocate %.1f times per call, want 0", fitExt, n)
+		}
+	}
+	scale := maxCurrent(ds)
+	for _, m := range device.AllModels() {
+		o := newDCObjective(m, ds, scale)
+		p := m.Params()
+		buf := make([]float64, o.residualLen())
+		if n := testing.AllocsPerRun(50, func() { o.residualsInto(buf, p) }); n != 0 {
+			t.Errorf("%s DC residuals allocate %.1f times per call, want 0", m.Name(), n)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"gnsslna/internal/device"
+	"gnsslna/internal/optim"
 	"gnsslna/internal/twoport"
 	"gnsslna/internal/vna"
 )
@@ -70,8 +71,7 @@ type SResidualBuilder struct {
 	// fitExt, when true, appends the six series parasitics to the parameter
 	// vector (used by the DE-only baseline which has no step 1).
 	fitExt bool
-	// resLen is the precomputed residual-vector length, so Residuals can
-	// allocate its output exactly once.
+	// resLen is the precomputed residual-vector length.
 	resLen int
 	// evals is atomic: the optimizers may evaluate residuals from
 	// concurrent worker goroutines.
@@ -174,19 +174,34 @@ func (b *SResidualBuilder) pointResiduals(ss device.SmallSignal, ext device.Extr
 }
 
 // Residuals returns the normalized residual vector (real and imaginary part
-// of every S-parameter entry at every frequency and bias).
+// of every S-parameter entry at every frequency and bias). Each call
+// returns a fresh vector, so it is safe for concurrent callers.
 func (b *SResidualBuilder) Residuals(p []float64) []float64 {
+	return b.residualsInto(make([]float64, b.resLen), p)
+}
+
+// residualsInto writes Residuals(p) into dst, of length resLen, and
+// returns it.
+func (b *SResidualBuilder) residualsInto(dst, p []float64) []float64 {
 	b.evals.Add(1)
 	d := b.device(p)
-	out := make([]float64, 0, b.resLen)
+	i := 0
 	for h, set := range b.ds.Hot {
 		ss := d.SmallSignalFrom(set.Bias, b.gm[h], b.gds[h])
 		for k, f := range set.Net.Freqs {
 			r := b.pointResiduals(ss, d.Ext, f, set.Net.S[k])
-			out = append(out, r[:]...)
+			i += copy(dst[i:], r[:])
 		}
 	}
-	return out
+	return dst
+}
+
+// lmResiduals returns the residual function of one Levenberg-Marquardt
+// fit. LM copies the residuals it keeps, so every call of the fit writes
+// into one buffer; a fit is serial, so the buffer is never shared.
+func (b *SResidualBuilder) lmResiduals() optim.ResidualFunc {
+	buf := make([]float64, b.resLen)
+	return func(p []float64) []float64 { return b.residualsInto(buf, p) }
 }
 
 // RMSE returns the scalar root-mean-square of the normalized residuals.

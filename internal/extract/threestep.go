@@ -142,7 +142,7 @@ func ThreeStep(ds *vna.Dataset, dc device.DCModel, cfg Config) (Result, error) {
 	x0 := append(append([]float64(nil), de.X...),
 		cold.Ext.Rg, cold.Ext.Rs, cold.Ext.Rd,
 		cold.Ext.Lg, cold.Ext.Ls, cold.Ext.Ld)
-	lm, err := optim.LevenbergMarquardt(sresJoint.Residuals, x0, &optim.LMOptions{
+	lm, err := optim.LevenbergMarquardt(sresJoint.lmResiduals(), x0, &optim.LMOptions{
 		MaxIter: cfg.RefineIters, Lower: loJ, Upper: hiJ,
 		Observer: lmObs, Scope: "extract.step3.lm",
 		Control: cfg.Control,
@@ -256,7 +256,7 @@ func RunMethod(ds *vna.Dataset, dc device.DCModel, m Method, cfg Config) (Method
 			x0[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
 		}
 		if m == MethodLMOnly {
-			lm, err := optim.LevenbergMarquardt(sres.Residuals, x0, &optim.LMOptions{
+			lm, err := optim.LevenbergMarquardt(sres.lmResiduals(), x0, &optim.LMOptions{
 				MaxIter: cfg.RefineIters * 4, Lower: lo, Upper: hi,
 				Observer: cfg.Observer, Scope: "extract.method.lm",
 				Control: cfg.Control,
