@@ -63,7 +63,7 @@ func (t *Tracer) SetOutliers(d *OutlierDetector) { t.outliers = d }
 func (t *Tracer) Outliers() *OutlierDetector { return t.outliers }
 
 // Traced is an Observer that stamps causal identity onto every event before
-// forwarding it to a sink: the tracer's TraceID always, and span/parent IDs
+// forwarding it to a sink: the tracer's TraceID, and span/parent IDs
 // according to two rules that keep emitters trivial —
 //
 //   - an event with no Span is a membership event (generation progress,
@@ -71,6 +71,11 @@ func (t *Tracer) Outliers() *OutlierDetector { return t.outliers }
 //     with this span's parent;
 //   - an event that carries its own Span but no Parent is a child span
 //     record: it is parented under this Traced's span.
+//
+// An event that already carries a Trace keeps its trace, span and parent:
+// it was stamped by the Traced that emitted it (a job's durable identity,
+// for one), and a Traced further down the sink chain must not re-attribute
+// it.
 //
 // Traced is itself a value-shaped wrapper (three words); NewChild allocates
 // one small node per span, never per event, so the per-event path stays
@@ -101,12 +106,14 @@ func AdoptSpan(sink Observer, tr *Tracer, span, parent SpanID) *Traced {
 
 // Observe implements Observer.
 func (t *Traced) Observe(e Event) {
-	e.Trace = t.tracer.id
-	if e.Span == 0 {
-		e.Span = t.span
-		e.Parent = t.parent
-	} else if e.Parent == 0 {
-		e.Parent = t.span
+	if e.Trace == 0 {
+		e.Trace = t.tracer.id
+		if e.Span == 0 {
+			e.Span = t.span
+			e.Parent = t.parent
+		} else if e.Parent == 0 {
+			e.Parent = t.span
+		}
 	}
 	t.sink.Observe(e)
 }

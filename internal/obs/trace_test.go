@@ -86,6 +86,39 @@ func TestTracedStamping(t *testing.T) {
 	}
 }
 
+// TestTracedKeepsStampedIdentity passes events that already carry a trace
+// through a second Traced: trace, span and parent must survive unchanged,
+// including a root-span event whose parent is zero.
+func TestTracedKeepsStampedIdentity(t *testing.T) {
+	var got []Event
+	outer := NewTraced(Func(func(e Event) { got = append(got, e) }), NewTracerID(7))
+	inner := AdoptSpan(outer, NewTracerID(42), 1, 0)
+	child := inner.NewChild()
+
+	inner.Observe(Event{Kind: KindSample, Scope: "root"})
+	child.Observe(Event{Kind: KindDone, Scope: "child"})
+	outer.Observe(Event{Kind: KindSpanBegin, Scope: "explicit", Trace: 42, Span: 9})
+	outer.Observe(Event{Kind: KindSample, Scope: "own"})
+
+	want := []struct {
+		trace        TraceID
+		span, parent SpanID
+	}{
+		{42, 1, 0},
+		{42, child.Span(), 1},
+		{42, 9, 0},
+		{7, outer.Span(), 0},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("forwarded %d events, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if e := got[i]; e.Trace != w.trace || e.Span != w.span || e.Parent != w.parent {
+			t.Errorf("%s: identity (%d,%d,%d), want (%d,%d,%d)", e.Scope, e.Trace, e.Span, e.Parent, w.trace, w.span, w.parent)
+		}
+	}
+}
+
 // TestStartSpanTraced checks that a span opened on a traced observer is a
 // real child span: begin and end share a fresh span ID parented under the
 // opener, and work emitted through the returned observer nests under it.

@@ -68,9 +68,8 @@ func jobScope(j *Job) string {
 	return "job." + string(j.Spec.Type) + "." + j.Spec.tenant()
 }
 
-// emitJobSubmitted writes the root span-begin for a freshly accepted job.
-// The event carries explicit identity, so the sink must be a raw observer
-// (hub, broadcaster), not a Traced that would restamp it.
+// emitJobSubmitted writes the root span-begin for a freshly accepted job,
+// with the job's persisted trace identity.
 func emitJobSubmitted(sink obs.Observer, j *Job) {
 	if sink == nil || j == nil || j.Trace == 0 {
 		return

@@ -139,6 +139,44 @@ func TestJobTraceSpansOneAttempt(t *testing.T) {
 	}
 }
 
+// TestTracedFleetObserverKeepsJobTraces hands the fleet a Traced observer
+// with a trace of its own: every job's events must still reach the sink
+// under the job's persisted trace ID, with the root span's identity.
+func TestTracedFleetObserverKeepsJobTraces(t *testing.T) {
+	sink := &eventSink{}
+	runner := RunnerFunc(func(ctx context.Context, job *Job, dir string, o obs.Observer) (json.RawMessage, error) {
+		_, end := obs.StartSpan(o, "solver.fake")
+		end(1)
+		return json.RawMessage(`{}`), nil
+	})
+	const outer = obs.TraceID(7)
+	h := newFleetHarness(t, runner, FleetOptions{Workers: 2, Observer: obs.NewTraced(sink, obs.NewTracerID(outer))})
+	jobs := []*Job{mustSubmit(t, h.q, quickSpec("a")), mustSubmit(t, h.q, quickSpec("b"))}
+	for _, j := range jobs {
+		waitTerminal(t, h.q, j.ID)
+	}
+	for _, j := range jobs {
+		done := sink.waitForEvent(t, "job.done for "+j.ID, func(e obs.Event) bool {
+			return e.Kind == obs.KindSample && e.Scope == "job.done.succeeded" && uint64(e.Trace) == j.Trace
+		})
+		if done.Span != jobRootSpan || done.Parent != 0 {
+			t.Errorf("job %s: done sample span %d parent %d, want %d/0", j.ID, done.Span, done.Parent, jobRootSpan)
+		}
+		var solver bool
+		for _, e := range sink.snapshot() {
+			solver = solver || (e.Scope == "solver.fake" && uint64(e.Trace) == j.Trace)
+		}
+		if !solver {
+			t.Errorf("job %s: its solver span did not keep the job's trace", j.ID)
+		}
+	}
+	for _, e := range sink.snapshot() {
+		if e.Trace == outer {
+			t.Errorf("event %s %v was restamped with the fleet observer's trace", e.Scope, e.Kind)
+		}
+	}
+}
+
 func TestJobTraceRetriesAreSiblingSpans(t *testing.T) {
 	sink := &eventSink{}
 	var calls int

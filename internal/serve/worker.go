@@ -40,10 +40,8 @@ type FleetOptions struct {
 	// DefaultTimeout bounds a job attempt when the spec carries none
 	// (0: 5 minutes).
 	DefaultTimeout time.Duration
-	// Observer receives the durable job-trace events (nil: disabled). It
-	// must be a raw sink (hub, broadcaster, a Multi of both): the fleet
-	// stamps each event with the job's own persisted trace identity, so a
-	// Traced wrapper here would overwrite it.
+	// Observer receives the durable job-trace events, each stamped with
+	// the job's own persisted trace identity (nil: disabled).
 	Observer obs.Observer
 	// Metrics receives fleet counters (nil: disabled).
 	Metrics *Metrics
