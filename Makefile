@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/obs/replay/
 	$(GO) test -fuzz=FuzzInvMatchesHadamard -fuzztime=$(FUZZTIME) ./internal/twoport/
 	$(GO) test -fuzz=FuzzEmbedABCDMatchesEmbed -fuzztime=$(FUZZTIME) ./internal/device/
+	$(GO) test -fuzz=FuzzJobSpec -fuzztime=$(FUZZTIME) ./internal/serve/
 
 # trace-smoke is the end-to-end check of the causal tracing plane: a quick
 # parallel lnaopt run writes a journal, obsreport reconstructs the span tree
