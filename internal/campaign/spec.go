@@ -77,12 +77,17 @@ type BandAxis struct {
 	FLowHz  float64 `json:"f_low_hz"`
 	FHighHz float64 `json:"f_high_hz"`
 	// Points is the number of in-band evaluation frequencies (0: 11, or 7
-	// in quick mode).
+	// in quick mode; at most maxBandPoints).
 	Points int `json:"points,omitempty"`
 	// StabLowHz and StabHighHz bound the stability scan (0,0: 0.2-6 GHz).
 	StabLowHz  float64 `json:"stab_low_hz,omitempty"`
 	StabHighHz float64 `json:"stab_high_hz,omitempty"`
 }
+
+// maxBandPoints bounds a band's in-band grid: every cell allocates and
+// grades the grid, so an unbounded count from a spec file would exhaust
+// memory instead of failing validation.
+const maxBandPoints = 1000
 
 // SpecAxis is one requirement set: the design goals a cell optimizes
 // toward and is graded against.
@@ -202,8 +207,8 @@ func (s *Spec) Normalize() error {
 		if !(b.FLowHz > 0 && b.FHighHz > b.FLowHz) {
 			return fmt.Errorf("band %q: need 0 < f_low_hz < f_high_hz, got %g..%g", b.Name, b.FLowHz, b.FHighHz)
 		}
-		if b.Points < 0 || b.Points == 1 {
-			return fmt.Errorf("band %q: points = %d, want 0 or >= 2", b.Name, b.Points)
+		if b.Points < 0 || b.Points == 1 || b.Points > maxBandPoints {
+			return fmt.Errorf("band %q: points = %d, want 0 or 2..%d", b.Name, b.Points, maxBandPoints)
 		}
 		if (b.StabLowHz != 0 || b.StabHighHz != 0) && !(b.StabLowHz > 0 && b.StabHighHz > b.StabLowHz) {
 			return fmt.Errorf("band %q: need 0 < stab_low_hz < stab_high_hz, got %g..%g", b.Name, b.StabLowHz, b.StabHighHz)

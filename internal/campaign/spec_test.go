@@ -123,6 +123,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"no specs", func(s *Spec) { s.Axes.Specs = nil }, "axes.specs"},
 		{"band range", func(s *Spec) { s.Axes.Bands[0].FHighHz = s.Axes.Bands[0].FLowHz }, "f_low_hz < f_high_hz"},
 		{"one point", func(s *Spec) { s.Axes.Bands[0].Points = 1 }, "points"},
+		{"too many points", func(s *Spec) { s.Axes.Bands[0].Points = maxBandPoints + 1 }, `band "l1": points`},
 		{"stab range", func(s *Spec) { s.Axes.Bands[0].StabLowHz = 5e9; s.Axes.Bands[0].StabHighHz = 1e9 }, "stab_low_hz"},
 		{"nf", func(s *Spec) { s.Axes.Specs[0].NFMaxDB = 0 }, "nf_max_db"},
 		{"substrate", func(s *Spec) { s.Axes.Substrates = []string{"teflon"} }, "substrate"},

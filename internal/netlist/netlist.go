@@ -33,6 +33,11 @@ import (
 // ErrSyntax reports an unparsable netlist line.
 var ErrSyntax = errors.New("netlist: syntax error")
 
+// maxACPoints bounds the .ac point count: the sweep grid is allocated at
+// parse time, so an unbounded count from the deck would let one line
+// exhaust memory.
+const maxACPoints = 100_000
+
 // Deck is a parsed netlist ready to simulate.
 type Deck struct {
 	// Title is the leading comment, if any.
@@ -183,8 +188,8 @@ func (d *Deck) parseAC(fields []string) error {
 		return fmt.Errorf("%w: %q", ErrSyntax, fields[3])
 	}
 	n, err := strconv.Atoi(fields[4])
-	if err != nil || n < 2 {
-		return fmt.Errorf("%w: point count %q", ErrSyntax, fields[4])
+	if err != nil || n < 2 || n > maxACPoints {
+		return fmt.Errorf("%w: point count %q, want 2..%d", ErrSyntax, fields[4], maxACPoints)
 	}
 	if f2 <= f1 || f1 <= 0 {
 		return fmt.Errorf("%w: sweep range [%g, %g]", ErrSyntax, f1, f2)

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"strconv"
@@ -136,12 +137,13 @@ func TestParseErrors(t *testing.T) {
 		"line no len":     "T1 a b Z0=50 EPS=2\n",
 		"bad ac":          ".ac lin 1G 2G\n",
 		"ac range":        ".ac lin 2G 1G 5\n",
+		"ac too long":     ".ac lin 1 2 4611686018427387904\n",
 		"unknown card":    ".foo\n",
 		"short ports":     ".ports a\n",
 	}
 	for name, src := range cases {
-		if _, err := Parse(strings.NewReader(src)); err == nil {
-			t.Errorf("%s: accepted %q", name, src)
+		if _, err := Parse(strings.NewReader(src)); !errors.Is(err, ErrSyntax) {
+			t.Errorf("%s: %q: got %v, want ErrSyntax", name, src, err)
 		}
 	}
 	// A deck without .ac or .ports parses but cannot run.

@@ -1,10 +1,10 @@
-// Package optim provides the optimization machinery of the paper's design
-// flow: direct local methods (Nelder-Mead, Hooke-Jeeves, golden section,
-// Levenberg-Marquardt), meta-heuristics (differential evolution, particle
-// swarm, simulated annealing), and multi-objective methods — the standard
-// goal-attainment method of Gembicki, the paper's improved goal-attainment
-// variant, a weighted-sum baseline, epsilon-constraint scans and NSGA-II —
-// plus Pareto-front utilities (dominance filtering, hypervolume, spread).
+// Package optim provides the optimization machinery of the paper's flow:
+// differential evolution, which seeds the extraction and the design, with
+// Nelder-Mead and Levenberg-Marquardt as the direct methods; CMA-ES; and
+// the multi-objective methods — the standard goal-attainment method of
+// Gembicki, the paper's improved goal-attainment variant, a weighted-sum
+// baseline and NSGA-II — plus Pareto-front utilities (dominance filtering,
+// hypervolume, spread).
 package optim
 
 import (
@@ -232,124 +232,4 @@ func nelderMead(f Objective, x0 []float64, opts *NMOptions) (Result, error) {
 	order()
 	em.done(c.n, fv[0])
 	return Result{X: simplex[0], F: fv[0], Evals: c.n, Converged: false}, nil
-}
-
-// HJOptions configures Hooke-Jeeves pattern search.
-type HJOptions struct {
-	// MaxEvals caps objective evaluations (default 4000 * dim).
-	MaxEvals int
-	// Step is the initial exploratory step (default 0.25).
-	Step float64
-	// Tol is the terminal step size (default 1e-9).
-	Tol float64
-	// Control is polled once per exploratory/pattern move; on a stop the
-	// search returns its best base point alongside the *resilience.Stopped
-	// error (nil: never stops).
-	Control *resilience.RunController
-}
-
-// HookeJeeves minimizes f from x0 by pattern search, a derivative-free
-// method robust to the mild noise of simulated measurements.
-func HookeJeeves(f Objective, x0 []float64, opts *HJOptions) (Result, error) {
-	n := len(x0)
-	if n == 0 {
-		return Result{}, ErrBadInput
-	}
-	maxEvals := 4000 * n
-	step, tol := 0.25, 1e-9
-	var ctrl *resilience.RunController
-	if opts != nil {
-		if opts.MaxEvals > 0 {
-			maxEvals = opts.MaxEvals
-		}
-		if opts.Step > 0 {
-			step = opts.Step
-		}
-		if opts.Tol > 0 {
-			tol = opts.Tol
-		}
-		ctrl = opts.Control
-	}
-	c := &counter{f: f, ctrl: ctrl}
-	base := append([]float64(nil), x0...)
-	fb := c.eval(base)
-
-	explore := func(from []float64, ffrom float64) ([]float64, float64) {
-		x := append([]float64(nil), from...)
-		fx := ffrom
-		for i := 0; i < n; i++ {
-			h := step * (1 + math.Abs(x[i]))
-			x[i] += h
-			if fp := c.eval(x); fp < fx {
-				fx = fp
-				continue
-			}
-			x[i] -= 2 * h
-			if fm := c.eval(x); fm < fx {
-				fx = fm
-				continue
-			}
-			x[i] += h
-		}
-		return x, fx
-	}
-
-	for c.n < maxEvals && step > tol {
-		if err := ctrl.Check(); err != nil {
-			return Result{X: base, F: fb, Evals: c.n, Converged: false}, err
-		}
-		xNew, fNew := explore(base, fb)
-		if fNew < fb {
-			// Pattern move: keep going in the improving direction.
-			for c.n < maxEvals {
-				if err := ctrl.Check(); err != nil {
-					return Result{X: xNew, F: fNew, Evals: c.n, Converged: false}, err
-				}
-				pattern := make([]float64, n)
-				for i := range pattern {
-					pattern[i] = 2*xNew[i] - base[i]
-				}
-				fp := c.eval(pattern)
-				xp, fxp := explore(pattern, fp)
-				base, fb = xNew, fNew
-				if fxp >= fNew {
-					break
-				}
-				xNew, fNew = xp, fxp
-			}
-			base, fb = xNew, fNew
-		} else {
-			step /= 2
-		}
-	}
-	return Result{X: base, F: fb, Evals: c.n, Converged: step <= tol}, nil
-}
-
-// GoldenSection minimizes a one-dimensional function on [a, b] to the given
-// x tolerance.
-func GoldenSection(f func(float64) float64, a, b, tol float64) (x, fx float64, evals int) {
-	if a > b {
-		a, b = b, a
-	}
-	const phi = 0.6180339887498949 // (sqrt(5)-1)/2
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	evals = 2
-	for b-a > tol {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
-			f2 = f(x2)
-		}
-		evals++
-	}
-	if f1 < f2 {
-		return x1, f1, evals
-	}
-	return x2, f2, evals
 }

@@ -60,40 +60,6 @@ func TestNelderMeadEmptyInput(t *testing.T) {
 	}
 }
 
-func TestHookeJeevesQuadratic(t *testing.T) {
-	f := func(x []float64) float64 {
-		return (x[0]-2)*(x[0]-2) + 3*(x[1]+1)*(x[1]+1)
-	}
-	res, err := HookeJeeves(f, []float64{0, 0}, &HJOptions{MaxEvals: 40000})
-	if err != nil {
-		t.Fatalf("HookeJeeves: %v", err)
-	}
-	if math.Abs(res.X[0]-2) > 1e-4 || math.Abs(res.X[1]+1) > 1e-4 {
-		t.Errorf("x = %v, want [2 -1]", res.X)
-	}
-	if _, err := HookeJeeves(f, nil, nil); err == nil {
-		t.Error("empty x0 accepted")
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	f := func(x float64) float64 { return (x - 1.7) * (x - 1.7) }
-	x, fx, evals := GoldenSection(f, -10, 10, 1e-9)
-	if math.Abs(x-1.7) > 1e-7 {
-		t.Errorf("argmin = %g, want 1.7", x)
-	}
-	if fx > 1e-12 {
-		t.Errorf("min = %g, want ~0", fx)
-	}
-	if evals < 10 {
-		t.Errorf("suspiciously few evals: %d", evals)
-	}
-	// Reversed interval must work too.
-	if x2, _, _ := GoldenSection(f, 10, -10, 1e-9); math.Abs(x2-1.7) > 1e-7 {
-		t.Errorf("reversed interval argmin = %g", x2)
-	}
-}
-
 func TestLevenbergMarquardtCurveFit(t *testing.T) {
 	// Fit y = a*exp(b*t) to exact data.
 	ts := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3}

@@ -81,10 +81,9 @@ type AttainResult struct {
 	// X is the best design found.
 	X []float64
 	// Gamma is the attainment factor: gamma <= 0 means every goal was met.
-	// The scalarization baselines (WeightedSum, EpsilonConstraint) have no
-	// attainment factor and report the NaN sentinel instead — check with
-	// math.IsNaN before comparing, since NaN compares false against
-	// everything.
+	// The scalarization baseline (WeightedSum) has no attainment factor and
+	// reports the NaN sentinel instead — check with math.IsNaN before
+	// comparing, since NaN compares false against everything.
 	Gamma float64
 	// F holds the objective values at X.
 	F []float64
@@ -505,11 +504,28 @@ func attainOnce(ctx context.Context, obj attainObjective, goals []Goal, lo, hi [
 	return attainFinish(full, goals, lo, hi, o, &em, x, int(evals.Load()), nested, stopErr)
 }
 
-// scalarizedAttain runs the shared DE-then-Nelder-Mead pipeline of the
-// scalarization baselines, finishing with the NaN-gamma sentinel (see
-// AttainResult.Gamma). A resilience stop returns the best-so-far design
+// WeightedSum minimizes the scalarization sum_i w_i f_i(x) — the classical
+// baseline that cannot reach concave regions of a Pareto front — with a DE
+// global stage and a Nelder-Mead polish. The returned Gamma is the NaN
+// sentinel (no attainment factor is defined for a scalarization); test it
+// with math.IsNaN. A resilience stop returns the best-so-far design
 // alongside the *resilience.Stopped error.
-func scalarizedAttain(obj VectorObjective, scalar Objective, evals *atomic.Int64, lo, hi []float64, o AttainOptions, scope string) (AttainResult, error) {
+func WeightedSum(obj VectorObjective, weights []float64, lo, hi []float64, opts *AttainOptions) (AttainResult, error) {
+	if obj == nil || len(weights) == 0 || len(lo) == 0 || len(lo) != len(hi) {
+		return AttainResult{}, ErrBadInput
+	}
+	o := opts.defaults()
+	scope := o.scopeOr("optim.wsum")
+	var evals atomic.Int64
+	scalar := func(x []float64) float64 {
+		evals.Add(1)
+		f := obj(x)
+		var s float64
+		for i, w := range weights {
+			s += w * f[i]
+		}
+		return s
+	}
 	pop := 10 * len(lo)
 	if pop < 20 {
 		pop = 20
@@ -549,56 +565,6 @@ func scalarizedAttain(obj VectorObjective, scalar Objective, evals *atomic.Int64
 		return AttainResult{}, err
 	}
 	return finish(nm.X, nil)
-}
-
-// WeightedSum minimizes the scalarization sum_i w_i f_i(x) — the classical
-// baseline that cannot reach concave regions of a Pareto front. The returned
-// Gamma is the NaN sentinel (no attainment factor is defined for a
-// scalarization); test it with math.IsNaN.
-func WeightedSum(obj VectorObjective, weights []float64, lo, hi []float64, opts *AttainOptions) (AttainResult, error) {
-	if obj == nil || len(weights) == 0 || len(lo) == 0 || len(lo) != len(hi) {
-		return AttainResult{}, ErrBadInput
-	}
-	o := opts.defaults()
-	var evals atomic.Int64
-	scalar := func(x []float64) float64 {
-		evals.Add(1)
-		f := obj(x)
-		var s float64
-		for i, w := range weights {
-			s += w * f[i]
-		}
-		return s
-	}
-	return scalarizedAttain(obj, scalar, &evals, lo, hi, o, o.scopeOr("optim.wsum"))
-}
-
-// EpsilonConstraint minimizes objective primary subject to f_i(x) <= eps_i
-// for every other objective, via an exact penalty. The returned Gamma is the
-// NaN sentinel (no attainment factor is defined for this scalarization);
-// test it with math.IsNaN.
-func EpsilonConstraint(obj VectorObjective, primary int, eps []float64, lo, hi []float64, opts *AttainOptions) (AttainResult, error) {
-	if obj == nil || primary < 0 || len(eps) == 0 || len(lo) == 0 || len(lo) != len(hi) {
-		return AttainResult{}, ErrBadInput
-	}
-	o := opts.defaults()
-	var evals atomic.Int64
-	const penalty = 1e4
-	scalar := func(x []float64) float64 {
-		evals.Add(1)
-		f := obj(x)
-		s := f[primary]
-		for i, e := range eps {
-			if i == primary {
-				continue
-			}
-			if v := f[i] - e; v > 0 {
-				s += penalty * v
-			}
-		}
-		return s
-	}
-	return scalarizedAttain(obj, scalar, &evals, lo, hi, o, o.scopeOr("optim.epscon"))
 }
 
 func clampBox(x, lo, hi []float64) []float64 {

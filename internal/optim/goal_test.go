@@ -139,22 +139,6 @@ func TestWeightedSumMissesConcaveFront(t *testing.T) {
 	}
 }
 
-func TestEpsilonConstraint(t *testing.T) {
-	// Minimize f1 subject to f2 <= 1: on the convex problem the best is
-	// f2 = 1 exactly, f1 = (2 - 1)^2 = 1.
-	res, err := EpsilonConstraint(convexBi, 0, []float64{math.Inf(1), 1},
-		biBox.lo, biBox.hi, &AttainOptions{Seed: 3})
-	if err != nil {
-		t.Fatalf("EpsilonConstraint: %v", err)
-	}
-	if res.F[1] > 1.01 {
-		t.Errorf("constraint violated: f2 = %g > 1", res.F[1])
-	}
-	if math.Abs(res.F[0]-1) > 0.05 {
-		t.Errorf("f1 = %g, want ~1", res.F[0])
-	}
-}
-
 func TestGoalValidation(t *testing.T) {
 	goals := []Goal{{Name: "bad", Target: 0, Weight: 0}}
 	if _, err := GoalAttainStandard(convexBi, goals, biBox.lo, biBox.hi, nil); err == nil {
@@ -165,9 +149,6 @@ func TestGoalValidation(t *testing.T) {
 	}
 	if _, err := WeightedSum(convexBi, nil, biBox.lo, biBox.hi, nil); err == nil {
 		t.Error("empty weights accepted")
-	}
-	if _, err := EpsilonConstraint(convexBi, -1, nil, biBox.lo, biBox.hi, nil); err == nil {
-		t.Error("bad primary index accepted")
 	}
 }
 
@@ -215,19 +196,9 @@ func TestScalarizationGammaIsNaNSentinel(t *testing.T) {
 	if !math.IsNaN(ws.Gamma) {
 		t.Errorf("WeightedSum Gamma = %v, want NaN sentinel", ws.Gamma)
 	}
-	ec, err := EpsilonConstraint(convexBi, 0, []float64{math.Inf(1), 1},
-		biBox.lo, biBox.hi, opts)
-	if err != nil {
-		t.Fatalf("EpsilonConstraint: %v", err)
-	}
-	if !math.IsNaN(ec.Gamma) {
-		t.Errorf("EpsilonConstraint Gamma = %v, want NaN sentinel", ec.Gamma)
-	}
-	for _, r := range []AttainResult{ws, ec} {
-		for i, f := range r.F {
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				t.Errorf("objective %d non-finite (%v) despite NaN-gamma sentinel", i, f)
-			}
+	for i, f := range ws.F {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			t.Errorf("objective %d non-finite (%v) despite NaN-gamma sentinel", i, f)
 		}
 	}
 }

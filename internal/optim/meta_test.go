@@ -61,39 +61,6 @@ func TestDEBadInput(t *testing.T) {
 	}
 }
 
-func TestParticleSwarmSphere(t *testing.T) {
-	lo := []float64{-5, -5, -5}
-	hi := []float64{5, 5, 5}
-	res, err := ParticleSwarm(sphere, lo, hi, &PSOOptions{Iterations: 200, Seed: 4})
-	if err != nil {
-		t.Fatalf("PSO: %v", err)
-	}
-	if res.F > 1e-6 {
-		t.Errorf("PSO on sphere: F = %g, want ~0", res.F)
-	}
-	if _, err := ParticleSwarm(sphere, nil, nil, nil); err == nil {
-		t.Error("empty bounds accepted")
-	}
-}
-
-func TestSimulatedAnnealingMultimodal(t *testing.T) {
-	// 1-D multimodal with global optimum at x ~ 0.
-	f := func(x []float64) float64 {
-		return x[0]*x[0] + 3*math.Sin(5*x[0])*math.Sin(5*x[0])
-	}
-	res, err := SimulatedAnnealing(f, []float64{-4}, []float64{4},
-		&SAOptions{Iterations: 50000, Seed: 9})
-	if err != nil {
-		t.Fatalf("SA: %v", err)
-	}
-	if res.F > 0.05 {
-		t.Errorf("SA stuck at F = %g (x = %v)", res.F, res.X)
-	}
-	if _, err := SimulatedAnnealing(f, nil, nil, nil); err == nil {
-		t.Error("empty bounds accepted")
-	}
-}
-
 func TestMetaheuristicsDeterministic(t *testing.T) {
 	lo := []float64{-3, -3}
 	hi := []float64{3, 3}
@@ -125,16 +92,6 @@ func TestOptimizerShootout(t *testing.T) {
 	results := map[string]float64{}
 	if r, err := DifferentialEvolution(rastrigin, lo, hi, &DEOptions{Generations: 150, Seed: 9}); err == nil {
 		results["DE"] = r.F
-	} else {
-		t.Fatal(err)
-	}
-	if r, err := ParticleSwarm(rastrigin, lo, hi, &PSOOptions{Iterations: 150, Seed: 9}); err == nil {
-		results["PSO"] = r.F
-	} else {
-		t.Fatal(err)
-	}
-	if r, err := SimulatedAnnealing(rastrigin, lo, hi, &SAOptions{Iterations: 40000, Seed: 9}); err == nil {
-		results["SA"] = r.F
 	} else {
 		t.Fatal(err)
 	}

@@ -11,8 +11,6 @@ import (
 const (
 	scopeCMAES  = "optim.cmaes"
 	scopeDE     = "optim.de"
-	scopePSO    = "optim.pso"
-	scopeSA     = "optim.sa"
 	scopeNSGA2  = "optim.nsga2"
 	scopeLM     = "optim.lm"
 	scopeNM     = "optim.nm"
@@ -131,14 +129,4 @@ func profRun(solver string, body func(ctx context.Context) (Result, error)) (Res
 		res, err = body(ctx)
 	})
 	return res, err
-}
-
-// sampleStride returns how many iterations to skip between generation
-// events so a long scalar loop (simulated annealing's 20k iterations)
-// journals at most ~maxRecords convergence records.
-func sampleStride(iters, maxRecords int) int {
-	if maxRecords <= 0 || iters <= maxRecords {
-		return 1
-	}
-	return iters / maxRecords
 }

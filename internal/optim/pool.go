@@ -198,19 +198,8 @@ func (p *EvalPool) each(n int, fn func(i int), bt *batchTrace) {
 	}
 }
 
-// Map evaluates f at every xs[i] and stores f(xs[i]) in out[i]. The xs rows
-// must not alias each other when Workers > 1.
-func (p *EvalPool) Map(f Objective, xs [][]float64, out []float64) {
-	p.Each(len(xs), func(i int) { out[i] = f(xs[i]) })
-}
-
-// MapVector evaluates the vector objective at every xs[i] and stores the
-// returned slice in out[i].
-func (p *EvalPool) MapVector(f VectorObjective, xs [][]float64, out [][]float64) {
-	p.Each(len(xs), func(i int) { out[i] = f(xs[i]) })
-}
-
-// mapVector is MapVector plus optional trace attribution (bt may be nil).
+// mapVector evaluates the vector objective at every xs[i] and stores the
+// returned slice in out[i], with optional trace attribution (bt may be nil).
 func (p *EvalPool) mapVector(f VectorObjective, xs [][]float64, out [][]float64, bt *batchTrace) {
 	p.each(len(xs), func(i int) { out[i] = f(xs[i]) }, bt)
 }

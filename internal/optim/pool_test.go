@@ -45,11 +45,11 @@ func TestEvalPoolMapWritesByIndex(t *testing.T) {
 	for i := range xs {
 		xs[i] = []float64{float64(i)}
 	}
-	out := make([]float64, len(xs))
-	NewEvalPool(4).Map(func(x []float64) float64 { return 3 * x[0] }, xs, out)
+	out := make([][]float64, len(xs))
+	NewEvalPool(4).mapVector(func(x []float64) []float64 { return []float64{3 * x[0]} }, xs, out, nil)
 	for i := range out {
-		if out[i] != 3*float64(i) {
-			t.Fatalf("out[%d] = %g, want %g", i, out[i], 3*float64(i))
+		if out[i][0] != 3*float64(i) {
+			t.Fatalf("out[%d] = %g, want %g", i, out[i][0], 3*float64(i))
 		}
 	}
 }
@@ -127,29 +127,6 @@ func TestDEBitIdenticalAcrossWorkers(t *testing.T) {
 		samePoolResult(t, "DE", serial, par, w)
 		if parEvals != serialEvals {
 			t.Fatalf("DE: Workers=%d journaled evals %d != serial %d", w, parEvals, serialEvals)
-		}
-	}
-}
-
-func TestPSOBitIdenticalAcrossWorkers(t *testing.T) {
-	lo, hi := []float64{-2, -2}, []float64{2, 2}
-	run := func(workers int) (Result, int64) {
-		tally := &doneEvals{}
-		res, err := ParticleSwarm(rosenbrock, lo, hi, &PSOOptions{
-			Pop: 24, Iterations: 60, Seed: 7, Workers: workers,
-			Observer: obs.Func(tally.Observe),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, tally.total
-	}
-	serial, serialEvals := run(1)
-	for _, w := range workerCounts() {
-		par, parEvals := run(w)
-		samePoolResult(t, "PSO", serial, par, w)
-		if parEvals != serialEvals {
-			t.Fatalf("PSO: Workers=%d journaled evals %d != serial %d", w, parEvals, serialEvals)
 		}
 	}
 }
@@ -248,67 +225,5 @@ func TestGoalAttainBitIdenticalAcrossWorkers(t *testing.T) {
 				t.Fatalf("attain: Workers=%d X[%d] %v != serial %v", w, i, par.X[i], serial.X[i])
 			}
 		}
-	}
-}
-
-// TestCheckpointSnapshotsStayDefensive pins the contract that the buffer
-// reuse in the hot loops must never extend to checkpoint snapshots: the
-// state handed to a Checkpoint callback is a deep copy the continuing run
-// cannot mutate.
-func TestCheckpointSnapshotsStayDefensive(t *testing.T) {
-	lo, hi := []float64{-2, -2}, []float64{2, 2}
-	var first *DEState
-	var firstXs [][]float64
-	var firstFs []float64
-	_, err := DifferentialEvolution(rosenbrock, lo, hi, &DEOptions{
-		Pop: 24, Generations: 40, Seed: 7,
-		Checkpoint: func(st DEState) {
-			if first != nil {
-				return
-			}
-			first = &st
-			firstXs = copyMat(st.Xs)
-			firstFs = append([]float64(nil), st.Fs...)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first == nil {
-		t.Fatal("checkpoint callback never ran")
-	}
-	for i := range firstXs {
-		for j := range firstXs[i] {
-			if math.Float64bits(first.Xs[i][j]) != math.Float64bits(firstXs[i][j]) {
-				t.Fatalf("snapshot Xs[%d][%d] mutated by the continuing run", i, j)
-			}
-		}
-	}
-	for i := range firstFs {
-		if math.Float64bits(first.Fs[i]) != math.Float64bits(firstFs[i]) {
-			t.Fatalf("snapshot Fs[%d] mutated by the continuing run", i)
-		}
-	}
-}
-
-// TestCopyMatIntoReusesRows pins the allocation-diet helper: matching shapes
-// reuse the destination rows, mismatched shapes fall back to fresh copies.
-func TestCopyMatIntoReusesRows(t *testing.T) {
-	src := [][]float64{{1, 2}, {3, 4}}
-	dst := [][]float64{{0, 0}, {0, 0}}
-	row0 := &dst[0][0]
-	out := copyMatInto(dst, src)
-	if &out[0][0] != row0 {
-		t.Fatal("copyMatInto allocated despite matching shapes")
-	}
-	if out[0][0] != 1 || out[1][1] != 4 {
-		t.Fatalf("copyMatInto wrong values: %v", out)
-	}
-	src[0][0] = 99
-	if out[0][0] == 99 {
-		t.Fatal("copyMatInto aliased the source")
-	}
-	if fresh := copyMatInto(nil, src); &fresh[0] == &src[0] || fresh[0][0] != 99 {
-		t.Fatalf("copyMatInto(nil, src) must deep-copy, got %v", fresh)
 	}
 }

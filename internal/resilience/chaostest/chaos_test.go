@@ -162,11 +162,6 @@ func TestParallelSolversSurviveChaos(t *testing.T) {
 				Pop: 20, Generations: 30, Seed: 1, Workers: workers,
 			})
 		}},
-		{"pso", func(obj func([]float64) float64) (optim.Result, error) {
-			return optim.ParticleSwarm(obj, lo, hi, &optim.PSOOptions{
-				Pop: 20, Iterations: 30, Seed: 1, Workers: workers,
-			})
-		}},
 		{"cmaes", func(obj func([]float64) float64) (optim.Result, error) {
 			return optim.CMAES(obj, lo, hi, &optim.CMAESOptions{
 				Generations: 60, Seed: 1, Workers: workers,
@@ -253,20 +248,11 @@ func TestAllSolversSurviveChaos(t *testing.T) {
 		{"de", func(obj func([]float64) float64) (optim.Result, error) {
 			return optim.DifferentialEvolution(obj, lo, hi, &optim.DEOptions{Pop: 20, Generations: 30, Seed: 1})
 		}},
-		{"pso", func(obj func([]float64) float64) (optim.Result, error) {
-			return optim.ParticleSwarm(obj, lo, hi, &optim.PSOOptions{Pop: 20, Iterations: 30, Seed: 1})
-		}},
-		{"sa", func(obj func([]float64) float64) (optim.Result, error) {
-			return optim.SimulatedAnnealing(obj, lo, hi, &optim.SAOptions{Iterations: 600, Seed: 1})
-		}},
 		{"cmaes", func(obj func([]float64) float64) (optim.Result, error) {
 			return optim.CMAES(obj, lo, hi, &optim.CMAESOptions{Generations: 60, Seed: 1})
 		}},
 		{"nm", func(obj func([]float64) float64) (optim.Result, error) {
 			return optim.NelderMead(obj, x0, &optim.NMOptions{MaxEvals: 600})
-		}},
-		{"hj", func(obj func([]float64) float64) (optim.Result, error) {
-			return optim.HookeJeeves(obj, x0, &optim.HJOptions{MaxEvals: 600})
 		}},
 	}
 	for _, s := range solvers {

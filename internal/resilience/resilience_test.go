@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"testing"
 	"time"
@@ -261,57 +260,6 @@ func TestSafeBoundedVector(t *testing.T) {
 	}
 	if sv.Eval([]float64{1}); !ctrl.BreakerTripped() {
 		t.Fatal("two consecutive faults did not trip the breaker")
-	}
-}
-
-func TestCountedSourceMatchesStdStream(t *testing.T) {
-	ref := rand.New(rand.NewSource(42))
-	cs := NewCountedSource(42)
-	got := rand.New(cs)
-	for i := 0; i < 1000; i++ {
-		if a, b := ref.Float64(), got.Float64(); a != b {
-			t.Fatalf("draw %d: counted %v != std %v", i, b, a)
-		}
-	}
-}
-
-func TestCountedSourceFastForward(t *testing.T) {
-	// Run a mixed-draw sequence, snapshot mid-way, then prove a fresh source
-	// fast-forwarded to the snapshot position continues bit-identically.
-	full := rand.New(NewCountedSource(7))
-	var tail []float64
-	var pos uint64
-	src := NewCountedSource(7)
-	r := rand.New(src)
-	for i := 0; i < 100; i++ {
-		switch i % 3 {
-		case 0:
-			r.Float64()
-			full.Float64()
-		case 1:
-			r.Intn(10)
-			full.Intn(10)
-		default:
-			r.NormFloat64()
-			full.NormFloat64()
-		}
-	}
-	pos = src.Draws()
-	for i := 0; i < 50; i++ {
-		tail = append(tail, full.Float64())
-	}
-	_ = r
-
-	src2 := NewCountedSource(7)
-	src2.FastForward(pos)
-	if src2.Draws() != pos {
-		t.Fatalf("fast-forward position = %d, want %d", src2.Draws(), pos)
-	}
-	r2 := rand.New(src2)
-	for i, want := range tail {
-		if got := r2.Float64(); got != want {
-			t.Fatalf("resumed draw %d = %v, want %v", i, got, want)
-		}
 	}
 }
 

@@ -232,7 +232,9 @@ func TestChaosResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
+	start := time.Now()
 	want := runToSuccess(t, ref, refRes.Job.ID)
+	refRun := time.Since(start)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	ref.Shutdown(ctx)
 	cancel()
@@ -248,7 +250,7 @@ func TestChaosResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	time.Sleep(120 * time.Millisecond) // mid-run for a quick design (~0.5s)
+	time.Sleep(refRun / 2) // mid-run: half the uninterrupted run's length
 	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
 	err = s1.Shutdown(ctx)
 	cancel()

@@ -102,7 +102,7 @@ func TestDifferentialSerialVsParallelEval(t *testing.T) {
 	}
 	grade := func(workers int) [][]float64 {
 		out := make([][]float64, len(xs))
-		optim.NewEvalPool(workers).MapVector(objective, xs, out)
+		optim.NewEvalPool(workers).Each(len(xs), func(k int) { out[k] = objective(xs[k]) })
 		return out
 	}
 	serial := grade(1)
