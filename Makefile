@@ -63,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzEmbedABCDMatchesEmbed -fuzztime=$(FUZZTIME) ./internal/device/
 	$(GO) test -fuzz=FuzzJobSpec -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/netlist/
+	$(GO) test -fuzz=FuzzYamlite -fuzztime=$(FUZZTIME) ./internal/campaign/
 
 # trace-smoke is the end-to-end check of the causal tracing plane: a quick
 # parallel lnaopt run writes a journal, obsreport reconstructs the span tree

@@ -49,13 +49,24 @@ type Spec struct {
 
 // Budget overrides the per-cell optimizer budgets.
 type Budget struct {
-	// GlobalEvals and PolishEvals budget the goal-attainment cells.
+	// GlobalEvals and PolishEvals budget the goal-attainment cells (each
+	// at most maxBudgetEvals).
 	GlobalEvals int `json:"global_evals,omitempty"`
 	PolishEvals int `json:"polish_evals,omitempty"`
-	// Pop and Generations budget the NSGA-II cells.
+	// Pop and Generations budget the NSGA-II cells (at most maxBudgetPop
+	// and maxBudgetGenerations).
 	Pop         int `json:"pop,omitempty"`
 	Generations int `json:"generations,omitempty"`
 }
+
+// Budget bounds: a cell sizes its population and archives from these
+// counts, so an unbounded value from a spec file would exhaust memory or
+// panic in the optimizer instead of failing validation.
+const (
+	maxBudgetEvals       = 1_000_000
+	maxBudgetPop         = 10_000
+	maxBudgetGenerations = 10_000
+)
 
 // Axes are the campaign grid dimensions. Bands and Specs are required;
 // the remaining axes default to single-element lists (ro4350, golden,
@@ -125,7 +136,6 @@ var identRe = regexp.MustCompile(`^[a-z0-9][a-z0-9-]*$`)
 // Supported axis vocabularies. Devices additionally admit "variant-<N>"
 // (the process-shifted golden device of device.GoldenVariant).
 var (
-	knownSubstrates = []string{"ro4350", "fr4"}
 	knownAlgorithms = []string{"attain", "nsga2"}
 )
 
@@ -269,8 +279,18 @@ func (s *Spec) Normalize() error {
 		}
 		seen["seed."+strconv.FormatInt(sd, 10)] = true
 	}
-	if s.Budget.GlobalEvals < 0 || s.Budget.PolishEvals < 0 || s.Budget.Pop < 0 || s.Budget.Generations < 0 {
-		return fmt.Errorf("budget fields must be >= 0")
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{
+		{"global_evals", s.Budget.GlobalEvals, maxBudgetEvals},
+		{"polish_evals", s.Budget.PolishEvals, maxBudgetEvals},
+		{"pop", s.Budget.Pop, maxBudgetPop},
+		{"generations", s.Budget.Generations, maxBudgetGenerations},
+	} {
+		if f.val < 0 || f.val > f.max {
+			return fmt.Errorf("budget.%s = %d, want 0..%d", f.name, f.val, f.max)
+		}
 	}
 	return nil
 }

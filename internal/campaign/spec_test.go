@@ -132,6 +132,11 @@ func TestNormalizeRejects(t *testing.T) {
 		{"seed", func(s *Spec) { s.Axes.Seeds = []int64{0} }, "seed"},
 		{"dup band", func(s *Spec) { s.Axes.Bands = append(s.Axes.Bands, s.Axes.Bands[0]) }, "duplicate band"},
 		{"dup seed", func(s *Spec) { s.Axes.Seeds = []int64{2, 2} }, "duplicate seed"},
+		{"negative pop", func(s *Spec) { s.Budget.Pop = -1 }, "budget.pop"},
+		{"huge pop", func(s *Spec) { s.Budget.Pop = 1 << 62 }, "budget.pop"},
+		{"too many generations", func(s *Spec) { s.Budget.Generations = maxBudgetGenerations + 1 }, "budget.generations"},
+		{"huge global evals", func(s *Spec) { s.Budget.GlobalEvals = 1 << 62 }, "budget.global_evals"},
+		{"too many polish evals", func(s *Spec) { s.Budget.PolishEvals = maxBudgetEvals + 1 }, "budget.polish_evals"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -14,11 +16,12 @@ import (
 //   - block lists (`- item`), including lists of maps (`- key: value` with
 //     continuation keys indented to the item's column)
 //   - inline flow maps `{a: 1, b: two}` and lists `[1, 2.5e9, x]`
-//   - scalars: true/false, null/~, integers, floats (incl. 1.15e9),
+//   - scalars: true/false, null/~, integers, finite floats (incl. 1.15e9),
 //     single- or double-quoted strings, bare strings
 //   - full-line `# comments` and trailing ` # comments` on unquoted values
 //
-// Anchors, multi-line strings, multi-document streams and tabs are
+// Anchors, multi-line strings, multi-document streams, tabs and non-finite
+// numbers (nan, inf, or a float such as 1e400 that overflows float64) are
 // rejected. Parse errors carry 1-based line numbers.
 func parseYamlite(data []byte) (any, error) {
 	ls, err := splitYamliteLines(data)
@@ -365,7 +368,13 @@ func (p *yamliteFlowParser) bareScalar() (any, error) {
 	if n, err := strconv.ParseInt(tok, 10, 64); err == nil {
 		return n, nil
 	}
-	if f, err := strconv.ParseFloat(tok, 64); err == nil {
+	// ParseFloat also reads nan, inf and infinity, and turns an overflow
+	// into an infinity with ErrRange. JSON has no spelling for either, so
+	// they fail here, where the line is known, not in the spec decoder.
+	if f, err := strconv.ParseFloat(tok, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, p.errf("%q is not a finite number (quote it for a string)", tok)
+		}
 		return f, nil
 	}
 	return tok, nil

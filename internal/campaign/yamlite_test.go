@@ -142,6 +142,9 @@ func TestYamliteErrors(t *testing.T) {
 		{"garbage", "x: 1} trailing\n", "trailing garbage"},
 		{"list in map", "a: 1\n- item\n", "list item inside a map block"},
 		{"quoted key", `"k": 1` + "\n", "quoted keys are not supported"},
+		{"nan", "f_low_hz: nan\n", `line 1: "nan" is not a finite number`},
+		{"infinity", "a: 1\nb: [1, -Infinity]\n", `line 2: "-Infinity" is not a finite number`},
+		{"overflow", "m: {f: 1e400}\n", `line 1: "1e400" is not a finite number`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

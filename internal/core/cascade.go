@@ -84,9 +84,6 @@ func (t *TwoStage) MetricsAt(f, z0 float64) (PointMetrics, error) {
 	return pointMetricsOf(tp, f, z0)
 }
 
-// Ids returns the total drain current of both stages.
-func (t *TwoStage) Ids() float64 { return t.First.Ids() + t.Second.Ids() }
-
 // PowerDissipation returns the combined DC power of both stages.
 func (t *TwoStage) PowerDissipation() float64 {
 	return t.First.PowerDissipation() + t.Second.PowerDissipation()

@@ -170,34 +170,3 @@ func TestDefaultSpecSane(t *testing.T) {
 		t.Error("stability scan empty")
 	}
 }
-
-func TestCornersBoundYield(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corner sweep skipped in -short mode")
-	}
-	d := fastDesigner()
-	d.Spec.NPoints = 5
-	rep, err := d.Corners(referenceDesign, 0.05, 0.02)
-	if err != nil {
-		t.Fatalf("Corners: %v", err)
-	}
-	if len(rep.Corners) != 32 {
-		t.Fatalf("corners = %d, want 32", len(rep.Corners))
-	}
-	nominal, err := d.Evaluate(referenceDesign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The worst corner must bound the nominal design.
-	if rep.WorstNFdB < nominal.WorstNFdB-1e-9 {
-		t.Errorf("corner NF bound %g below nominal %g", rep.WorstNFdB, nominal.WorstNFdB)
-	}
-	if rep.WorstGTdB > nominal.MinGTdB+1e-9 {
-		t.Errorf("corner GT bound %g above nominal %g", rep.WorstGTdB, nominal.MinGTdB)
-	}
-	for _, c := range rep.Corners {
-		if len(c.Label) != 5 {
-			t.Errorf("bad corner label %q", c.Label)
-		}
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/cmplx"
 
-	"gnsslna/internal/device"
 	"gnsslna/internal/mathx"
 	"gnsslna/internal/twoport"
 )
@@ -99,27 +98,4 @@ func (a *Amplifier) TwoToneOIP3(f0 float64) (IP3Report, error) {
 	}, nil
 }
 
-// IP3Sweep evaluates the amplifier intercept across frequencies.
-func (a *Amplifier) IP3Sweep(freqs []float64) ([]IP3Report, error) {
-	out := make([]IP3Report, 0, len(freqs))
-	for _, f := range freqs {
-		r, err := a.TwoToneOIP3(f)
-		if err != nil {
-			return nil, fmt.Errorf("core: IP3 at %g Hz: %w", f, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 func sqAbsC(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }
-
-// VerifyAgainstDevice cross-checks the quasi-static analysis: with ideal
-// through networks the amplifier intercept must collapse to the device
-// value computed by the vna bench formula.
-func deviceOIP3Current(d *device.PHEMT, b device.Bias) float64 {
-	gm1, _, gm3 := d.GmCoefficients(b)
-	a2 := 8 * gm1 / math.Abs(gm3)
-	iFund := gm1 * math.Sqrt(a2)
-	return mathx.WattsToDBm(iFund * iFund * 50 / 2)
-}

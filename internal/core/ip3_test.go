@@ -30,23 +30,6 @@ func TestAmplifierOIP3Plausible(t *testing.T) {
 	}
 }
 
-func TestAmplifierOIP3SweepMonotoneBookkeeping(t *testing.T) {
-	amp := buildRef(t)
-	freqs := []float64{1.2e9, 1.4e9, 1.6e9}
-	rs, err := amp.IP3Sweep(freqs)
-	if err != nil {
-		t.Fatalf("IP3Sweep: %v", err)
-	}
-	if len(rs) != len(freqs) {
-		t.Fatalf("reports = %d", len(rs))
-	}
-	for _, r := range rs {
-		if r.Freq == 0 || math.IsNaN(r.OIP3DBm) {
-			t.Errorf("bad report %+v", r)
-		}
-	}
-}
-
 func TestAmplifierOIP3SweetSpotError(t *testing.T) {
 	// Exactly at the gm3 zero crossing the analysis must refuse rather
 	// than emit infinity. Find the crossing by bisection.
@@ -71,22 +54,5 @@ func TestAmplifierOIP3SweetSpotError(t *testing.T) {
 	// amplifier API returns an explicit error for exactly zero.
 	if g := g3((lo + hi) / 2); math.Abs(g) > 1e-3 {
 		t.Logf("gm3 at crossing = %g (bisection tolerance)", g)
-	}
-}
-
-func TestDeviceCurrentOIP3MatchesVNABench(t *testing.T) {
-	// The internal closed form used for the amplifier referral must agree
-	// with the public vna.AnalyticOIP3.
-	d := device.Golden()
-	b := device.Bias{Vgs: 0.5, Vds: 3}
-	got := deviceOIP3Current(d, b)
-	// vna.AnalyticOIP3 uses the identical formula; avoid the import cycle
-	// by recomputing here.
-	gm1, _, gm3 := d.GmCoefficients(b)
-	a2 := 8 * gm1 / math.Abs(gm3)
-	iF := gm1 * math.Sqrt(a2)
-	want := 10*math.Log10(iF*iF*50/2) + 30
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("closed forms diverged: %g vs %g", got, want)
 	}
 }

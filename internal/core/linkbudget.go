@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"gnsslna/internal/mathx"
@@ -64,10 +63,4 @@ func (lb LinkBudget) CN0DBHz(signalDBm float64, withLNA bool, lnaNFdB, lnaGainDB
 	tsys := lb.SystemNoiseTemp(withLNA, lnaNFdB, lnaGainDB)
 	n0DBm := 10*math.Log10(mathx.Boltzmann*tsys) + 30
 	return signalDBm - n0DBm
-}
-
-// Describe renders a one-line summary for reports.
-func (lb LinkBudget) Describe() string {
-	return fmt.Sprintf("Tant=%.0fK cable=%.1fdB RxNF=%.1fdB",
-		lb.AntennaTempK, lb.CableLossDB, lb.ReceiverNFdB)
 }

@@ -69,7 +69,4 @@ func TestCN0Absolute(t *testing.T) {
 	if bare >= cn0 {
 		t.Error("removing the preamplifier should cost C/N0")
 	}
-	if lb.Describe() == "" {
-		t.Error("empty description")
-	}
 }

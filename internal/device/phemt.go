@@ -242,23 +242,3 @@ func (d *PHEMT) FukuiFmin(b Bias, f, kf float64) float64 {
 func (d *PHEMT) GmCoefficients(b Bias) (gm1, gm2, gm3 float64) {
 	return Gm(d.DC, b.Vgs, b.Vds), Gm2(d.DC, b.Vgs, b.Vds), Gm3(d.DC, b.Vgs, b.Vds)
 }
-
-// FindVgsForIds searches the gate voltage that yields drain current target
-// at the given vds, by bisection over the model's useful gate range.
-func (d *PHEMT) FindVgsForIds(target, vds float64) (float64, error) {
-	lo, hi := -2.0, 2.0
-	ilo, ihi := d.DC.Ids(lo, vds), d.DC.Ids(hi, vds)
-	if target < ilo || target > ihi {
-		return 0, fmt.Errorf("device: target Ids %.3g A outside range [%.3g, %.3g] at Vds=%.2f",
-			target, ilo, ihi, vds)
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if d.DC.Ids(mid, vds) < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
-}

@@ -213,23 +213,6 @@ func TestEmbeddingAddsParasiticEffects(t *testing.T) {
 	}
 }
 
-func TestFindVgsForIds(t *testing.T) {
-	d := Golden()
-	for _, target := range []float64{0.01, 0.04, 0.08} {
-		vgs, err := d.FindVgsForIds(target, 3)
-		if err != nil {
-			t.Fatalf("FindVgsForIds(%g): %v", target, err)
-		}
-		got := d.DC.Ids(vgs, 3)
-		if math.Abs(got-target) > 1e-6 {
-			t.Errorf("Ids(%g V) = %g, want %g", vgs, got, target)
-		}
-	}
-	if _, err := d.FindVgsForIds(10, 3); err == nil {
-		t.Error("impossible current accepted")
-	}
-}
-
 func TestCapModelTransitions(t *testing.T) {
 	c := Golden().Caps
 	if c.Cgs(-1) >= c.Cgs(0.8) {

@@ -1,7 +1,6 @@
 package device
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -48,10 +47,6 @@ type Extrinsics struct {
 	// Cpg, Cpd are the pad capacitances in farads.
 	Cpg, Cpd float64
 }
-
-// ErrBadBias reports an unusable bias point (e.g. zero transconductance
-// where gain is required).
-var ErrBadBias = errors.New("device: bias point yields no usable small-signal model")
 
 // IntrinsicY returns the admittance matrix of the intrinsic equivalent
 // circuit at angular frequency derived from f (Hz).

@@ -149,9 +149,8 @@ func (s *Suite) FigVerification() (string, error) {
 }
 
 // FigCircles renders the gamma-plane design chart at band center: the
-// device's noise circles, its optimum noise source, the simultaneous-match
-// point and the source stability circle — the Smith-chart view an RF
-// designer works from.
+// device's noise circles, its optimum noise source and the source
+// stability circle — the Smith-chart view an RF designer works from.
 func (s *Suite) FigCircles() (string, error) {
 	ex, err := s.Extracted()
 	if err != nil {

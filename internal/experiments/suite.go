@@ -95,9 +95,6 @@ func (s *Suite) obs() obs.Observer {
 	return s.fwd
 }
 
-// Golden exposes the reference device.
-func (s *Suite) Golden() *device.PHEMT { return s.golden }
-
 // Dataset lazily runs (and caches) the measurement campaign.
 func (s *Suite) Dataset() (*vna.Dataset, error) {
 	if s.dataset != nil {

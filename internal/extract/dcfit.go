@@ -128,25 +128,21 @@ func maxCurrent(ds *vna.Dataset) float64 {
 // over the model's parameter bounds followed by a Levenberg-Marquardt
 // polish. The model instance is mutated to the fitted parameters.
 func FitDC(m device.DCModel, ds *vna.Dataset, seed int64, budget int) (DCFitResult, error) {
-	return FitDCObserved(m, ds, seed, budget, nil)
+	return fitDC(m, ds, seed, budget, nil, nil)
 }
 
-// FitDCObserved is FitDC with progress events: the global and refinement
-// stages emit convergence records under "extract.step2.dcfit.de" and
-// "extract.step2.dcfit.lm".
-func FitDCObserved(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Observer) (DCFitResult, error) {
-	return fitDC(m, ds, seed, budget, o, nil)
-}
-
-// FitDCControlled is FitDCObserved with a run controller: ctrl (may be
-// nil) is polled by the nested DE and LM stages, and a stopped fit
-// surfaces as a wrapped *resilience.Stopped error.
+// FitDCControlled is FitDC with progress events and a run controller: the
+// global and refinement stages emit convergence records under
+// "extract.step2.dcfit.de" and "extract.step2.dcfit.lm", ctrl (may be nil)
+// is polled by the nested DE and LM stages, and a stopped fit surfaces as a
+// wrapped *resilience.Stopped error.
 func FitDCControlled(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Observer, ctrl *resilience.RunController) (DCFitResult, error) {
 	return fitDC(m, ds, seed, budget, o, ctrl)
 }
 
-// fitDC is the controllable core of FitDCObserved: ctrl (may be nil) is
-// polled by the nested DE and LM stages.
+// fitDC is the core of FitDC and FitDCControlled: o (may be nil) receives
+// the stages' progress events and ctrl (may be nil) is polled by the nested
+// DE and LM stages.
 func fitDC(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Observer, ctrl *resilience.RunController) (DCFitResult, error) {
 	if ds == nil || len(ds.IV) == 0 {
 		return DCFitResult{}, fmt.Errorf("%w: no I-V grid", ErrInsufficientData)

@@ -7,16 +7,6 @@ import (
 	"gnsslna/internal/match"
 )
 
-// ExampleDesignLSection matches a 100-j30 ohm load to 50 ohm and verifies
-// the input impedance.
-func ExampleDesignLSection() {
-	sec, _ := match.DesignLSection(complex(100, -30), 50, true)
-	zin := sec.InputImpedance(complex(100, -30))
-	fmt.Printf("matched: %v\n", cmplx.Abs(zin-50) < 1e-9)
-	// Output:
-	// matched: true
-}
-
 // ExampleDesignSingleStub places a shunt open stub to match a complex load.
 func ExampleDesignSingleStub() {
 	m, _ := match.DesignSingleStub(complex(25, 40), 50, true)

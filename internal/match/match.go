@@ -1,8 +1,8 @@
-// Package match synthesizes impedance matching networks analytically: the
-// lumped L-section and the single-stub transmission-line match. The design
-// flow uses numerical optimization for the full multi-band problem, but the
-// analytic single-frequency solutions seed designs, provide sanity anchors
-// in tests, and make the library useful as a standalone RF toolbox.
+// Package match synthesizes the single-stub transmission-line match
+// analytically. The design flow uses numerical optimization for the full
+// multi-band problem, but the analytic single-frequency solution seeds
+// designs, provides a sanity anchor in tests, and makes the library useful
+// as a standalone RF toolbox.
 package match
 
 import (
@@ -15,126 +15,6 @@ import (
 // ErrUnmatchable reports a load that the requested topology cannot match
 // (e.g. purely reactive loads).
 var ErrUnmatchable = errors.New("match: load not matchable with this topology")
-
-// LSection is a two-element matching network: a shunt susceptance on one
-// side and a series reactance on the other, both specified at the design
-// frequency as element values (negative inductance/capacitance never
-// appears: the signs choose between L and C).
-type LSection struct {
-	// SeriesX is the series reactance in ohms (positive: inductor,
-	// negative: capacitor).
-	SeriesX float64
-	// ShuntB is the shunt susceptance in siemens (positive: capacitor,
-	// negative: inductor).
-	ShuntB float64
-	// ShuntFirst reports whether the shunt element faces the load
-	// (true when the load resistance exceeds the source resistance).
-	ShuntFirst bool
-}
-
-// SeriesElement returns the series element value at f: (inductance,
-// capacitance), exactly one of which is non-zero.
-func (l LSection) SeriesElement(f float64) (henries, farads float64) {
-	w := 2 * math.Pi * f
-	if l.SeriesX >= 0 {
-		return l.SeriesX / w, 0
-	}
-	return 0, -1 / (w * l.SeriesX)
-}
-
-// ShuntElement returns the shunt element value at f: (inductance,
-// capacitance), exactly one of which is non-zero.
-func (l LSection) ShuntElement(f float64) (henries, farads float64) {
-	w := 2 * math.Pi * f
-	if l.ShuntB >= 0 {
-		return 0, l.ShuntB / w
-	}
-	return -1 / (w * l.ShuntB), 0
-}
-
-// DesignLSection matches the complex load zl to a real source resistance
-// r0 at a single frequency, returning the L-section with the high-pass or
-// low-pass orientation selected by sign (lowpass true picks series-L /
-// shunt-C when available).
-func DesignLSection(zl complex128, r0 float64, lowpass bool) (LSection, error) {
-	rl, xl := real(zl), imag(zl)
-	if rl <= 0 || r0 <= 0 {
-		return LSection{}, fmt.Errorf("%w: load %v, source %g", ErrUnmatchable, zl, r0)
-	}
-	if rl > r0 {
-		// Shunt element at the load side: transform down.
-		// Exact classical formulas (Pozar, Microwave Engineering, ch. 5):
-		// B = (XL +/- sqrt(RL/Z0) * sqrt(RL^2 + XL^2 - Z0*RL)) / (RL^2 + XL^2)
-		// X = 1/B + XL*Z0/RL - Z0/(B*RL)
-		root := math.Sqrt(rl/r0) * math.Sqrt(rl*rl+xl*xl-r0*rl)
-		den := rl*rl + xl*xl
-		var best LSection
-		found := false
-		for _, sgn := range []float64{1, -1} {
-			b := (xl + sgn*root) / den
-			if b == 0 {
-				continue
-			}
-			x := 1/b + xl*r0/rl - r0/(b*rl)
-			cand := LSection{SeriesX: x, ShuntB: b, ShuntFirst: true}
-			if !found || matchesFamily(cand, lowpass) {
-				best = cand
-				found = true
-				if matchesFamily(cand, lowpass) {
-					break
-				}
-			}
-		}
-		if !found {
-			return LSection{}, ErrUnmatchable
-		}
-		return best, nil
-	}
-	// rl < r0: series element at the load side: transform up.
-	// X = +/- sqrt(RL*(Z0-RL)) - XL, B = +/- sqrt((Z0-RL)/RL)/Z0.
-	root := math.Sqrt(rl * (r0 - rl))
-	var best LSection
-	found := false
-	for _, sgn := range []float64{1, -1} {
-		x := sgn*root - xl
-		b := sgn * math.Sqrt((r0-rl)/rl) / r0
-		cand := LSection{SeriesX: x, ShuntB: b, ShuntFirst: false}
-		if !found || matchesFamily(cand, lowpass) {
-			best = cand
-			found = true
-			if matchesFamily(cand, lowpass) {
-				break
-			}
-		}
-	}
-	if !found {
-		return LSection{}, ErrUnmatchable
-	}
-	return best, nil
-}
-
-// matchesFamily reports whether the section is the lowpass (series-L,
-// shunt-C) or highpass flavor.
-func matchesFamily(l LSection, lowpass bool) bool {
-	if lowpass {
-		return l.SeriesX >= 0 && l.ShuntB >= 0
-	}
-	return l.SeriesX < 0 && l.ShuntB < 0
-}
-
-// InputImpedance evaluates the matched input impedance the section presents
-// when terminated by zl, for verification.
-func (l LSection) InputImpedance(zl complex128) complex128 {
-	if l.ShuntFirst {
-		// Shunt at the load, then series toward the source.
-		y := 1/zl + complex(0, l.ShuntB)
-		return 1/y + complex(0, l.SeriesX)
-	}
-	// Series at the load, then shunt toward the source.
-	z := zl + complex(0, l.SeriesX)
-	y := 1/z + complex(0, l.ShuntB)
-	return 1 / y
-}
 
 // StubMatch is a single-stub shunt matching solution on a transmission
 // line: a line length d from the load, then an open- or short-circuited

@@ -7,83 +7,6 @@ import (
 	"testing"
 )
 
-func TestLSectionMatchesRandomLoads(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		zl := complex(5+rng.Float64()*200, (rng.Float64()*2-1)*100)
-		if math.Abs(real(zl)-50) < 1 {
-			continue // near-matched loads are a degenerate family
-		}
-		for _, lowpass := range []bool{true, false} {
-			sec, err := DesignLSection(zl, 50, lowpass)
-			if err != nil {
-				t.Fatalf("trial %d: DesignLSection(%v): %v", trial, zl, err)
-			}
-			zin := sec.InputImpedance(zl)
-			if cmplx.Abs(zin-50) > 1e-6 {
-				t.Fatalf("trial %d (lowpass=%v): Zin = %v for load %v, want 50",
-					trial, lowpass, zin, zl)
-			}
-		}
-	}
-}
-
-func TestLSectionKnownCase(t *testing.T) {
-	// Classic textbook case: match 200 ohm to 50 ohm. Q = sqrt(200/50-1) =
-	// sqrt(3); shunt-first with B = +/- Q/RL, X = +/- Q*Z0... verify via
-	// input impedance and element extraction.
-	sec, err := DesignLSection(200, 50, true)
-	if err != nil {
-		t.Fatalf("DesignLSection: %v", err)
-	}
-	if !sec.ShuntFirst {
-		t.Error("matching down from 200 ohm must put the shunt at the load")
-	}
-	if zin := sec.InputImpedance(200); cmplx.Abs(zin-50) > 1e-9 {
-		t.Errorf("Zin = %v, want 50", zin)
-	}
-	// Element values at 1.575 GHz must be positive and sensible.
-	lh, cf := sec.SeriesElement(1.575e9)
-	if lh < 0 || cf < 0 {
-		t.Error("negative element values")
-	}
-	if lh == 0 && cf == 0 {
-		t.Error("series element missing")
-	}
-	lh2, cf2 := sec.ShuntElement(1.575e9)
-	if lh2 == 0 && cf2 == 0 {
-		t.Error("shunt element missing")
-	}
-}
-
-func TestLSectionFamilySelection(t *testing.T) {
-	// For a plain resistive 200->50 match both families exist; the flag
-	// must select them.
-	low, err := DesignLSection(200, 50, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	high, err := DesignLSection(200, 50, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(low.SeriesX >= 0 && low.ShuntB >= 0) {
-		t.Errorf("lowpass family not honored: %+v", low)
-	}
-	if !(high.SeriesX < 0 && high.ShuntB < 0) {
-		t.Errorf("highpass family not honored: %+v", high)
-	}
-}
-
-func TestLSectionUnmatchable(t *testing.T) {
-	if _, err := DesignLSection(complex(0, 50), 50, true); err == nil {
-		t.Error("purely reactive load accepted")
-	}
-	if _, err := DesignLSection(100, -50, true); err == nil {
-		t.Error("negative source accepted")
-	}
-}
-
 func TestSingleStubMatchesRandomLoads(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {

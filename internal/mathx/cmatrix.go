@@ -42,20 +42,8 @@ func CMatrixFromRows(rows [][]complex128) *CMatrix {
 	return m
 }
 
-// CIdentity returns the n x n identity matrix.
-func CIdentity(n int) *CMatrix {
-	m := NewCMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *CMatrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *CMatrix) Cols() int { return m.cols }
 
 // At returns the element at row i, column j.
 func (m *CMatrix) At(i, j int) complex128 { return m.data[i*m.cols+j] }
@@ -72,44 +60,6 @@ func (m *CMatrix) Zero() {
 	for i := range m.data {
 		m.data[i] = 0
 	}
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *CMatrix) Clone() *CMatrix {
-	c := NewCMatrix(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
-// Mul returns the matrix product m * n.
-func (m *CMatrix) Mul(n *CMatrix) *CMatrix {
-	if m.cols != n.rows {
-		panic(fmt.Sprintf("mathx: CMatrix.Mul dimension mismatch %dx%d * %dx%d", m.rows, m.cols, n.rows, n.cols))
-	}
-	out := NewCMatrix(m.rows, n.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < n.cols; j++ {
-				out.data[i*n.cols+j] += a * n.data[k*n.cols+j]
-			}
-		}
-	}
-	return out
-}
-
-// ConjTranspose returns the Hermitian transpose of m.
-func (m *CMatrix) ConjTranspose() *CMatrix {
-	out := NewCMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.Set(j, i, cmplx.Conj(m.At(i, j)))
-		}
-	}
-	return out
 }
 
 // String renders the matrix for debugging.
@@ -235,16 +185,6 @@ func (f *CLU) SolveInto(x, b []complex128) error {
 	return nil
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *CLU) Det() complex128 {
-	d := complex(float64(f.sign), 0)
-	n := f.lu.rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveC solves the dense complex linear system A x = b.
 func SolveC(a *CMatrix, b []complex128) ([]complex128, error) {
 	f, err := LUFactorize(a)
@@ -252,31 +192,6 @@ func SolveC(a *CMatrix, b []complex128) ([]complex128, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// InverseC returns the inverse of a square complex matrix.
-func InverseC(a *CMatrix) (*CMatrix, error) {
-	f, err := LUFactorize(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.rows
-	inv := NewCMatrix(n, n)
-	e := make([]complex128, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }
 
 // MaxAbsDiff returns the largest elementwise magnitude difference between two

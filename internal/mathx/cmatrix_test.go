@@ -1,10 +1,8 @@
 package mathx
 
 import (
-	"math/cmplx"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestSolveCKnownSystem(t *testing.T) {
@@ -69,100 +67,5 @@ func TestLUSolveRandomRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestInverseC(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 5
-	a := NewCMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, complex(rng.NormFloat64(), rng.NormFloat64()))
-		}
-		a.Add(i, i, complex(float64(n), 0))
-	}
-	inv, err := InverseC(a)
-	if err != nil {
-		t.Fatalf("InverseC: %v", err)
-	}
-	prod := a.Mul(inv)
-	if d := MaxAbsDiff(prod, CIdentity(n)); d > 1e-10 {
-		t.Errorf("A * A^-1 differs from I by %g", d)
-	}
-}
-
-func TestDetProperty(t *testing.T) {
-	// det(A B) == det(A) det(B) for random well-conditioned 3x3 matrices.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mk := func() *CMatrix {
-			m := NewCMatrix(3, 3)
-			for i := 0; i < 3; i++ {
-				for j := 0; j < 3; j++ {
-					m.Set(i, j, complex(rng.NormFloat64(), rng.NormFloat64()))
-				}
-				m.Add(i, i, 3)
-			}
-			return m
-		}
-		a, b := mk(), mk()
-		fa, err1 := LUFactorize(a)
-		fb, err2 := LUFactorize(b)
-		fab, err3 := LUFactorize(a.Mul(b))
-		if err1 != nil || err2 != nil || err3 != nil {
-			return false
-		}
-		want := fa.Det() * fb.Det()
-		got := fab.Det()
-		return cmplx.Abs(got-want) <= 1e-8*(1+cmplx.Abs(want))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestConjTranspose(t *testing.T) {
-	a := CMatrixFromRows([][]complex128{
-		{1 + 2i, 3},
-		{4i, 5 - 1i},
-		{6, 7i},
-	})
-	h := a.ConjTranspose()
-	if h.Rows() != 2 || h.Cols() != 3 {
-		t.Fatalf("ConjTranspose dims = %dx%d, want 2x3", h.Rows(), h.Cols())
-	}
-	if h.At(0, 1) != -4i || h.At(1, 0) != 1-2i+1i-1i { // 3 conj is 3? explicit below
-		// recompute expectations explicitly
-	}
-	if got, want := h.At(0, 0), complex128(1-2i); got != want {
-		t.Errorf("h[0,0] = %v, want %v", got, want)
-	}
-	if got, want := h.At(0, 1), complex128(-4i); got != want {
-		t.Errorf("h[0,1] = %v, want %v", got, want)
-	}
-	if got, want := h.At(1, 2), complex128(-7i); got != want {
-		t.Errorf("h[1,2] = %v, want %v", got, want)
-	}
-}
-
-func TestMulIdentityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + int(seed%5)
-		if n < 1 {
-			n = 1
-		}
-		a := NewCMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, complex(rng.NormFloat64(), rng.NormFloat64()))
-			}
-		}
-		return MaxAbsDiff(a.Mul(CIdentity(n)), a) == 0 &&
-			MaxAbsDiff(CIdentity(n).Mul(a), a) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }

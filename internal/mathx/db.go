@@ -25,13 +25,6 @@ func FromDB20(db float64) float64 { return math.Pow(10, db/20) }
 // WattsToDBm converts a power in watts to dBm.
 func WattsToDBm(w float64) float64 { return 10*math.Log10(w) + 30 }
 
-// DBmToWatts converts a power in dBm to watts.
-func DBmToWatts(dbm float64) float64 { return math.Pow(10, (dbm-30)/10) }
-
 // NFToTemp converts a noise figure (linear ratio, F >= 1) to an equivalent
 // noise temperature in kelvin.
 func NFToTemp(f float64) float64 { return (f - 1) * T0 }
-
-// TempToNF converts an equivalent noise temperature in kelvin to a linear
-// noise figure.
-func TempToNF(te float64) float64 { return 1 + te/T0 }

@@ -36,24 +36,6 @@ func FFT(x []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// IFFT computes the inverse FFT (normalized by 1/N).
-func IFFT(x []complex128) ([]complex128, error) {
-	n := len(x)
-	conj := make([]complex128, n)
-	for i, v := range x {
-		conj[i] = cmplx.Conj(v)
-	}
-	y, err := FFT(conj)
-	if err != nil {
-		return nil, err
-	}
-	inv := complex(1/float64(n), 0)
-	for i, v := range y {
-		y[i] = cmplx.Conj(v) * inv
-	}
-	return y, nil
-}
-
 // SpectrumBin describes one tone found in a real signal's spectrum.
 type SpectrumBin struct {
 	// Freq is the bin center frequency in Hz.
@@ -86,24 +68,4 @@ func RealSpectrum(x []float64, sampleRate float64) ([]SpectrumBin, error) {
 		}
 	}
 	return out, nil
-}
-
-// THD returns the total harmonic distortion (ratio, not dB) of the real
-// signal x with fundamental f0: sqrt(sum of harmonic powers)/fundamental.
-// Harmonics are read off the coherent spectrum up to Nyquist.
-func THD(x []float64, f0, sampleRate float64, maxHarmonic int) float64 {
-	fund := ToneAmplitude(x, f0, sampleRate)
-	if fund == 0 {
-		return math.Inf(1)
-	}
-	var p float64
-	for h := 2; h <= maxHarmonic; h++ {
-		f := float64(h) * f0
-		if f >= sampleRate/2 {
-			break
-		}
-		a := ToneAmplitude(x, f, sampleRate)
-		p += a * a
-	}
-	return math.Sqrt(p) / fund
 }

@@ -33,27 +33,6 @@ func TestFFTKnownTone(t *testing.T) {
 	}
 }
 
-func TestFFTIFFTRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x := make([]complex128, 128)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	y, err := FFT(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := IFFT(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if cmplx.Abs(back[i]-x[i]) > 1e-12 {
-			t.Fatalf("round trip diverged at %d: %v vs %v", i, back[i], x[i])
-		}
-	}
-}
-
 func TestFFTMatchesGoertzel(t *testing.T) {
 	// The two independent spectral paths must agree on a multi-tone signal.
 	n := 1024
@@ -109,27 +88,5 @@ func TestParsevalProperty(t *testing.T) {
 	fSum /= float64(len(x))
 	if math.Abs(tSum-fSum) > 1e-9*tSum {
 		t.Errorf("Parseval violated: time %g vs freq %g", tSum, fSum)
-	}
-}
-
-func TestTHDOfDistortedSine(t *testing.T) {
-	// y = sin + 0.1 sin(2x): THD = 0.1.
-	fs := 4096.0
-	n := 4096
-	x := make([]float64, n)
-	for i := range x {
-		ti := float64(i) / fs
-		x[i] = math.Sin(2*math.Pi*64*ti) + 0.1*math.Sin(2*math.Pi*128*ti)
-	}
-	if got := THD(x, 64, fs, 5); math.Abs(got-0.1) > 1e-9 {
-		t.Errorf("THD = %g, want 0.1", got)
-	}
-	// A pure sine has zero THD.
-	for i := range x {
-		ti := float64(i) / fs
-		x[i] = math.Sin(2 * math.Pi * 64 * ti)
-	}
-	if got := THD(x, 64, fs, 5); got > 1e-9 {
-		t.Errorf("pure-tone THD = %g, want 0", got)
 	}
 }

@@ -12,18 +12,6 @@ func PolyEval(c []float64, x float64) float64 {
 	return y
 }
 
-// PolyDeriv returns the coefficients of the derivative of the polynomial c.
-func PolyDeriv(c []float64) []float64 {
-	if len(c) <= 1 {
-		return []float64{0}
-	}
-	d := make([]float64, len(c)-1)
-	for i := 1; i < len(c); i++ {
-		d[i-1] = float64(i) * c[i]
-	}
-	return d
-}
-
 // PolyFit fits a polynomial of the given degree to the points (xs, ys) in the
 // least-squares sense and returns its coefficients, lowest order first.
 func PolyFit(xs, ys []float64, degree int) ([]float64, error) {

@@ -18,23 +18,6 @@ func TestPolyEval(t *testing.T) {
 	}
 }
 
-func TestPolyDeriv(t *testing.T) {
-	// d/dx (1 + 2x + 3x^2 + 4x^3) = 2 + 6x + 12x^2
-	d := PolyDeriv([]float64{1, 2, 3, 4})
-	want := []float64{2, 6, 12}
-	if len(d) != len(want) {
-		t.Fatalf("deriv len = %d, want %d", len(d), len(want))
-	}
-	for i := range want {
-		if !Close(d[i], want[i], 1e-12) {
-			t.Errorf("deriv[%d] = %g, want %g", i, d[i], want[i])
-		}
-	}
-	if d := PolyDeriv([]float64{5}); len(d) != 1 || d[0] != 0 {
-		t.Errorf("deriv of constant = %v, want [0]", d)
-	}
-}
-
 func TestPolyFitRecoversCubic(t *testing.T) {
 	want := []float64{0.5, -1, 2, 0.25}
 	xs := Linspace(-2, 2, 15)

@@ -17,21 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation of xs (n-1 denominator), or 0
-// when fewer than two samples are given.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // RMS returns the root-mean-square of xs, or 0 for an empty slice.
 func RMS(xs []float64) float64 {
 	if len(xs) == 0 {

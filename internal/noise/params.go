@@ -61,11 +61,6 @@ func (p Params) FigureY(ys complex128) float64 {
 	return p.Fmin + p.Rn/gs*(real(d)*real(d)+imag(d)*imag(d))
 }
 
-// FigureDB returns the noise figure in dB for source reflection gammaS.
-func (p Params) FigureDB(gammaS complex128) float64 {
-	return mathx.DB10(p.Figure(gammaS))
-}
-
 // Te returns the equivalent input noise temperature in kelvin at the optimum
 // source.
 func (p Params) Te() float64 { return mathx.NFToTemp(p.Fmin) }

@@ -22,9 +22,6 @@ func TestFigureFormulaAgainstDefinition(t *testing.T) {
 	if got := p.Figure(0); !mathx.CloseRel(got, want, 1e-12) {
 		t.Errorf("F(0) = %g, want %g", got, want)
 	}
-	if p.FigureDB(p.GammaOpt) != mathx.DB10(p.Fmin) {
-		t.Error("FigureDB inconsistent with Figure")
-	}
 	if !mathx.CloseRel(p.Te(), (p.Fmin-1)*290, 1e-12) {
 		t.Error("Te inconsistent")
 	}

@@ -35,9 +35,6 @@ func NewHub(reg *Registry, j *Journal) *Hub {
 // Registry exposes the hub's metric store.
 func (h *Hub) Registry() *Registry { return h.reg }
 
-// Journal exposes the attached journal (may be nil).
-func (h *Hub) Journal() *Journal { return h.j }
-
 // Observe implements Observer.
 func (h *Hub) Observe(e Event) {
 	switch e.Kind {

@@ -129,9 +129,6 @@ func (t *Traced) NewChild() *Traced {
 // Span returns this observer's span identity.
 func (t *Traced) Span() SpanID { return t.span }
 
-// Parent returns the enclosing span (zero for a root).
-func (t *Traced) Parent() SpanID { return t.parent }
-
 // Tracer returns the allocator shared by the whole trace.
 func (t *Traced) Tracer() *Tracer { return t.tracer }
 

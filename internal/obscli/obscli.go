@@ -86,7 +86,6 @@ type Session struct {
 	hub         *obs.Hub
 	bc          *export.Broadcaster
 	srv         *export.Server
-	tracer      *obs.Tracer
 	traced      *obs.Traced
 	sampler     *obs.RuntimeSampler
 	runScope    string
@@ -156,9 +155,9 @@ func (f *Flags) Start() (*Session, error) {
 		sink = obs.Multi(s.hub, s.bc)
 		s.bc.CountDrops(s.reg.Counter("sse.dropped"))
 	}
-	s.tracer = obs.NewTracer()
-	s.tracer.SetOutliers(obs.NewOutlierDetector())
-	s.traced = obs.NewTraced(sink, s.tracer)
+	tracer := obs.NewTracer()
+	tracer.SetOutliers(obs.NewOutlierDetector())
+	s.traced = obs.NewTraced(sink, tracer)
 	s.runScope = "run." + filepath.Base(os.Args[0])
 	s.runStart = time.Now()
 	s.traced.Observe(obs.Event{Kind: obs.KindSpanBegin, Scope: s.runScope})
@@ -193,10 +192,6 @@ func (s *Session) Observer() obs.Observer {
 	}
 	return s.traced
 }
-
-// Tracer exposes the session's span allocator (nil when observation is
-// disabled).
-func (s *Session) Tracer() *obs.Tracer { return s.tracer }
 
 // Registry exposes the metrics registry (nil when observation is disabled).
 func (s *Session) Registry() *obs.Registry { return s.reg }

@@ -1,12 +1,6 @@
 package rfpassive
 
-import (
-	"fmt"
-	"math"
-
-	"gnsslna/internal/noise"
-	"gnsslna/internal/twoport"
-)
+import "math"
 
 // OpenEndExtension returns the equivalent length extension dL of a
 // microstrip open end (Kirschning, Jansen & Koster closed form): the
@@ -21,58 +15,6 @@ func (s Substrate) OpenEndExtension(w float64) float64 {
 	x4 := 1 + 0.0377*math.Atan(0.067*math.Pow(u, 1.456))*(6-5*math.Exp(0.036*(1-s.Er)))
 	x5 := 1 - 0.218*math.Exp(-7.5*u)
 	return s.H * x1 * x3 * x5 / x4
-}
-
-// StepInWidth models a microstrip width step as the series inductance and
-// shunt capacitance discontinuity (first-order closed forms). w1 is the
-// wider, w2 the narrower strip.
-type StepInWidth struct {
-	// Sub is the substrate.
-	Sub Substrate
-	// W1 and W2 are the two strip widths (order-independent).
-	W1, W2 float64
-}
-
-var _ Element = StepInWidth{}
-
-// elements returns the equivalent series inductance (H) and shunt
-// capacitance (F) of the step.
-func (s StepInWidth) elements() (lSeries, cShunt float64) {
-	w1, w2 := s.W1, s.W2
-	if w1 < w2 {
-		w1, w2 = w2, w1
-	}
-	e1, z1 := s.Sub.StaticParams(w1)
-	_, z2 := s.Sub.StaticParams(w2)
-	// Series inductance per Gupta/Garg closed form (first order):
-	// L ~ h * (z2 - z1)/c0 scaled by the width ratio.
-	ratio := w1 / w2
-	lSeries = s.Sub.H * (z2 - z1) / c0 * math.Sqrt(ratio-1)
-	if lSeries < 0 {
-		lSeries = 0
-	}
-	// Shunt capacitance: excess fringing at the wide side's edge.
-	cShunt = math.Sqrt(w1*w2) * math.Sqrt(e1) * (1 - w2/w1) * 40e-12 // ~pF/m scale
-	return lSeries, cShunt
-}
-
-// ABCD returns the chain matrix of the step at f.
-func (s StepInWidth) ABCD(f float64) twoport.Mat2 {
-	l, cp := s.elements()
-	w := 2 * math.Pi * f
-	half := twoport.SeriesZ(complex(0, w*l/2))
-	shunt := twoport.ShuntY(complex(0, w*cp))
-	return half.Mul(shunt).Mul(half)
-}
-
-// Noisy returns the (lossless, noiseless) step discontinuity at f.
-func (s StepInWidth) Noisy(f float64) noise.TwoPort {
-	return noise.Noiseless(s.ABCD(f))
-}
-
-// String describes the step.
-func (s StepInWidth) String() string {
-	return fmt.Sprintf("STEP %.3g->%.3g mm", s.W1*1e3, s.W2*1e3)
 }
 
 // OpenStubWithEnd returns an open-circuited stub Line whose physical length

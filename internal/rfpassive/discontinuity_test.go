@@ -1,12 +1,6 @@
 package rfpassive
 
-import (
-	"math"
-	"math/cmplx"
-	"testing"
-
-	"gnsslna/internal/twoport"
-)
+import "testing"
 
 func TestOpenEndExtensionPlausible(t *testing.T) {
 	// The textbook rule of thumb: dL between ~0.3h and ~0.6h for common
@@ -47,40 +41,5 @@ func TestOpenStubWithEndShortens(t *testing.T) {
 	tiny := OpenStubWithEnd(sub, w, 1e-6)
 	if tiny.Len != 0 {
 		t.Errorf("tiny stub length = %g, want 0", tiny.Len)
-	}
-}
-
-func TestStepInWidthPassiveAndReciprocal(t *testing.T) {
-	sub := RogersRO4350()
-	w50, _ := sub.WidthForZ0(50)
-	w70, _ := sub.WidthForZ0(70)
-	step := StepInWidth{Sub: sub, W1: w50, W2: w70}
-	for _, f := range []float64{1e9, 1.5e9, 3e9} {
-		s, err := twoport.ABCDToS(step.ABCD(f), 50)
-		if err != nil {
-			t.Fatalf("ABCDToS: %v", err)
-		}
-		if cmplx.Abs(s[0][1]-s[1][0]) > 1e-12 {
-			t.Errorf("f=%g: step not reciprocal", f)
-		}
-		// Lossless: |S11|^2 + |S21|^2 = 1.
-		p := real(s[0][0])*real(s[0][0]) + imag(s[0][0])*imag(s[0][0]) +
-			real(s[1][0])*real(s[1][0]) + imag(s[1][0])*imag(s[1][0])
-		if math.Abs(p-1) > 1e-9 {
-			t.Errorf("f=%g: power sum %g, want 1 (lossless)", f, p)
-		}
-		// The discontinuity is small: |S11| well below 0.2 at L band.
-		if cmplx.Abs(s[0][0]) > 0.2 {
-			t.Errorf("f=%g: step reflection %g too large", f, cmplx.Abs(s[0][0]))
-		}
-	}
-	// Order independence.
-	flipped := StepInWidth{Sub: sub, W1: w70, W2: w50}
-	a1, a2 := step.ABCD(1.5e9), flipped.ABCD(1.5e9)
-	if twoport.MaxAbsDiff(a1, a2) > 1e-15 {
-		t.Error("step must be order-independent")
-	}
-	if step.String() == "" {
-		t.Error("empty description")
 	}
 }

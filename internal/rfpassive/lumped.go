@@ -48,10 +48,6 @@ type Inductor struct {
 	Orient Orientation
 	// Temp is the physical temperature (290 K if zero).
 	Temp float64
-	// ESRTable, when non-nil, replaces the closed-form dispersive series
-	// resistance with a measured/datasheet ESR-vs-frequency curve (clamped
-	// outside its grid, per the mathx tabulated-data contract).
-	ESRTable *DispersionTable
 }
 
 var _ Element = Inductor{}
@@ -72,12 +68,16 @@ func NewChipInductor(l float64, o Orientation) Inductor {
 	}
 }
 
-// seriesR returns the dispersive series resistance at f: the tabulated ESR
-// curve when one is attached, otherwise the RDC + skin-effect closed form.
+// seriesR returns the dispersive series resistance at f: RDC plus the
+// skin-effect term.
+//
+// It stays out of line, like Capacitor.ESR: inlined into the
+// value-receiver Impedance, Go 1.24 on amd64 copies the whole receiver
+// through the stack with loads that defeat store-to-load forwarding, which
+// made Impedance about 2.5 times slower.
+//
+//go:noinline
 func (l Inductor) seriesR(f float64) float64 {
-	if l.ESRTable != nil {
-		return l.ESRTable.At(f)
-	}
 	if f <= 0 || l.QRef <= 0 || l.FRef <= 0 {
 		return l.RDC
 	}
@@ -167,10 +167,6 @@ type Capacitor struct {
 	Orient Orientation
 	// Temp is the physical temperature (290 K if zero).
 	Temp float64
-	// ESRTable, when non-nil, replaces the closed-form ESR dispersion with
-	// a measured/datasheet ESR-vs-frequency curve (clamped outside its
-	// grid, per the mathx tabulated-data contract).
-	ESRTable *DispersionTable
 }
 
 var _ Element = Capacitor{}
@@ -189,13 +185,12 @@ func NewChipCapacitor(c float64, o Orientation) Capacitor {
 	}
 }
 
-// ESR returns the dispersive effective series resistance at f: the
-// tabulated curve when one is attached, otherwise electrode metal loss
-// growing as sqrt(f) plus dielectric loss falling as 1/f.
+// ESR returns the dispersive effective series resistance at f: electrode
+// metal loss growing as sqrt(f) plus dielectric loss falling as 1/f. It
+// stays out of line for the reason given at Inductor.seriesR.
+//
+//go:noinline
 func (c Capacitor) ESR(f float64) float64 {
-	if c.ESRTable != nil {
-		return c.ESRTable.At(f)
-	}
 	if f <= 0 {
 		return c.RS0
 	}

@@ -9,7 +9,6 @@
 package rfpassive
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -205,15 +204,6 @@ func (l Line) Zc(f float64) complex128 {
 	return complex(l.Sub.Z0At(l.W, f, l.Dispersion), 0)
 }
 
-// Q returns the line quality factor beta/(2 alpha) at f.
-func (l Line) Q(f float64) float64 {
-	g := l.Gamma(f)
-	if real(g) == 0 {
-		return math.Inf(1)
-	}
-	return imag(g) / (2 * real(g))
-}
-
 // ABCD returns the chain matrix of the line at f.
 func (l Line) ABCD(f float64) twoport.Mat2 {
 	return twoport.LineABCD(l.Zc(f), l.Gamma(f), l.Len)
@@ -235,7 +225,3 @@ func (l Line) String() string {
 	_, z0 := l.Sub.StaticParams(l.W)
 	return fmt.Sprintf("MLIN w=%.3gmm l=%.3gmm (Z0~%.1f)", l.W*1e3, l.Len*1e3, z0)
 }
-
-// ErrNotRealizable reports a component request outside the model's valid
-// parameter range.
-var ErrNotRealizable = errors.New("rfpassive: element not realizable")

@@ -150,27 +150,6 @@ func TestNewLine50ElectricalLength(t *testing.T) {
 	}
 }
 
-func TestLineQReasonable(t *testing.T) {
-	sub := RogersRO4350()
-	line, err := NewLine50(sub, 50, 45, 1.575e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := line.Q(1.575e9)
-	// Microstrip on RO4350 at L band: Q of order 100-300.
-	if q < 30 || q > 1000 {
-		t.Errorf("line Q = %g, want O(100)", q)
-	}
-	// FR4 is much lossier.
-	lineFR4, err := NewLine50(FR4(), 50, 45, 1.575e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lineFR4.Q(1.575e9) >= q {
-		t.Error("FR4 line should have lower Q than RO4350")
-	}
-}
-
 func TestLineNoiseMatchesLoss(t *testing.T) {
 	// For a well-matched lossy line, NF ~ insertion loss (passive at T0).
 	sub := FR4()

@@ -106,13 +106,6 @@ func NewAdmission(policies map[string]TenantPolicy, def TenantPolicy, inflight f
 	}
 }
 
-// Policy returns the effective policy for a tenant.
-func (a *Admission) Policy(tenant string) TenantPolicy {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.policyLocked(tenant)
-}
-
 func (a *Admission) policyLocked(tenant string) TenantPolicy {
 	if p, ok := a.policies[tenant]; ok {
 		return p

@@ -98,7 +98,8 @@ type JobSpec struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Model names the DC model class for extract jobs (default "Angelov").
 	Model string `json:"model,omitempty"`
-	// Trials is the Monte-Carlo trial count for sweep jobs (default 200).
+	// Trials is the Monte-Carlo trial count for sweep jobs (default 200,
+	// at most maxTrials).
 	Trials int `json:"trials,omitempty"`
 	// DedupeKey, when set, makes submission idempotent: a resubmission with
 	// the same key returns the existing job instead of enqueuing a second
@@ -106,6 +107,11 @@ type JobSpec struct {
 	// state.
 	DedupeKey string `json:"dedupe_key,omitempty"`
 }
+
+// maxTrials bounds a sweep job's trial count: the yield sweep allocates
+// per-trial slices of that length, so an unbounded count would panic or
+// exhaust memory in a worker instead of failing validation at submit.
+const maxTrials = 100_000
 
 // tenant returns the effective tenant name.
 func (s JobSpec) tenant() string {
@@ -124,6 +130,9 @@ func (s JobSpec) Validate() error {
 	}
 	if s.MaxEvals < 0 || s.TimeoutMS < 0 || s.Trials < 0 {
 		return fmt.Errorf("serve: negative budget in job spec")
+	}
+	if s.Trials > maxTrials {
+		return fmt.Errorf("serve: trials = %d, want at most %d", s.Trials, maxTrials)
 	}
 	if s.Type == TypeExtract && s.Model != "" {
 		if _, ok := device.ModelByName(s.Model); !ok {

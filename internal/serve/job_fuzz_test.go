@@ -16,6 +16,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"type":"extract","model":"Bogus"}`,
 		`{"type":"design","seed":-1,"tenant":"a.b.c"} trailing`,
 		`{"type":"design","trials":-1}`,
+		`{"type":"sweep","quick":true,"trials":4611686018427387904}`,
 		`{"type":"design","seed":1e400}`,
 		"{\"type\":\"design\",\"tenant\":\"\xff\xfe<>&\"}",
 		`{"type":"design","tenant":"\u0000\ud800"}`,

@@ -152,15 +152,6 @@ func (s *Server) Start() { s.fleet.Start() }
 // Queue exposes the underlying queue (tests, load tooling).
 func (s *Server) Queue() *Queue { return s.q }
 
-// Store exposes the artifact store.
-func (s *Server) Store() *Store { return s.store }
-
-// Registry exposes the metrics registry backing /metrics.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown degrades gracefully: /healthz flips to draining (orchestrators
 // stop routing), new submissions get 503, in-flight jobs are canceled
 // cooperatively and re-queued with their checkpoints, and the journal

@@ -262,6 +262,11 @@ func TestServerBadSpec400(t *testing.T) {
 		t.Fatalf("spec with trailing bytes: %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+	resp, _ = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"type":"sweep","quick":true,"trials":4611686018427387904}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversize trial count: %d, want 400", resp.StatusCode)
+	}
+	resp.Body.Close()
 }
 
 // TestServerRejectsOversizeSpec413 posts a body one byte over the cap: 413,

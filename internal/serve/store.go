@@ -41,15 +41,6 @@ func (s *Store) JobDir(id string) (string, error) {
 	return d, nil
 }
 
-// CheckpointPath names the job's resilience checkpoint file.
-func (s *Store) CheckpointPath(id string) (string, error) {
-	d, err := s.JobDir(id)
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(d, "checkpoint.jsonl"), nil
-}
-
 // WriteResult atomically persists the job's result document
 // (temp-file+rename, same discipline as the checkpoints). Each call writes
 // through a temp file of its own, so two writers storing the same job's

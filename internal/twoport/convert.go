@@ -61,31 +61,6 @@ func YToZ(y Mat2) (Mat2, error) { return y.Inv() }
 // ZToY converts impedance to admittance parameters.
 func ZToY(z Mat2) (Mat2, error) { return z.Inv() }
 
-// ZToABCD converts impedance parameters to chain (ABCD) parameters.
-func ZToABCD(z Mat2) (Mat2, error) {
-	if z[1][0] == 0 {
-		return Mat2{}, ErrSingularNetwork
-	}
-	d := z.Det()
-	return Mat2{
-		{z[0][0] / z[1][0], d / z[1][0]},
-		{1 / z[1][0], z[1][1] / z[1][0]},
-	}, nil
-}
-
-// ABCDToZ converts chain parameters to impedance parameters.
-func ABCDToZ(a Mat2) (Mat2, error) {
-	c := a[1][0]
-	if c == 0 {
-		return Mat2{}, ErrSingularNetwork
-	}
-	d := a.Det()
-	return Mat2{
-		{a[0][0] / c, d / c},
-		{1 / c, a[1][1] / c},
-	}, nil
-}
-
 // YToABCD converts admittance parameters to chain parameters.
 func YToABCD(y Mat2) (Mat2, error) {
 	if y[1][0] == 0 {
@@ -138,15 +113,6 @@ func ABCDToS(a Mat2, z0 float64) (Mat2, error) {
 		{(A + B/zc - C*zc - D) / den, 2 * det / den},
 		{2 / den, (-A + B/zc - C*zc + D) / den},
 	}, nil
-}
-
-// SToH converts scattering parameters to hybrid (h) parameters.
-func SToH(s Mat2, z0 float64) (Mat2, error) {
-	z, err := SToZ(s, z0)
-	if err != nil {
-		return Mat2{}, err
-	}
-	return ZToH(z)
 }
 
 // ZToH converts impedance parameters to hybrid parameters.

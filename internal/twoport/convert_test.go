@@ -78,9 +78,9 @@ func TestConversionRoundTrips(t *testing.T) {
 			t.Fatalf("trial %d: S->T->S diff %g", trial, d)
 		}
 
-		h, err := SToH(s, z0)
+		h, err := ZToH(z)
 		if err != nil {
-			t.Fatalf("SToH: %v", err)
+			t.Fatalf("ZToH: %v", err)
 		}
 		zBack, err := HToZ(h)
 		if err != nil {
@@ -163,26 +163,6 @@ func TestCascadeMatchesABCDProduct(t *testing.T) {
 			t.Fatalf("trial %d: cascade representations disagree by %g", trial, d)
 		}
 	}
-}
-
-func TestQuarterWaveTransformer(t *testing.T) {
-	// A lossless quarter-wave line of Zc = sqrt(50*100) matches 100 ohm to
-	// 50 ohm: input impedance must be exactly 50.
-	const z0 = 50.0
-	zc := complex(70.71067811865476, 0)
-	// beta*l = pi/2 for quarter wave; gamma = j*beta.
-	gamma := complex(0, 1)
-	l := 3.14159265358979323846 / 2
-	zin := InputImpedanceOfLine(zc, gamma, l, 100)
-	if !closeC(zin, 50, 1e-9) {
-		t.Errorf("quarter-wave Zin = %v, want 50", zin)
-	}
-	// The same line terminated in a short looks open.
-	zinShort := InputImpedanceOfLine(zc, gamma, l, 1e-9)
-	if cmplx.Abs(zinShort) < 1e6 {
-		t.Errorf("quarter-wave over short = %v, want very large", zinShort)
-	}
-	_ = z0
 }
 
 func TestLosslessLineSParams(t *testing.T) {

@@ -15,13 +15,6 @@ func ShuntY(y complex128) Mat2 {
 	return Mat2{{1, 0}, {y, 1}}
 }
 
-// IdealTransformer returns the ABCD matrix of an ideal transformer with
-// voltage ratio n:1 (input:output).
-func IdealTransformer(n float64) Mat2 {
-	nc := complex(n, 0)
-	return Mat2{{nc, 0}, {0, 1 / nc}}
-}
-
 // LineABCD returns the ABCD matrix of a transmission line with complex
 // characteristic impedance zc and complex propagation constant gamma
 // (= alpha + j beta, in 1/m) over length l meters.
@@ -30,15 +23,4 @@ func LineABCD(zc, gamma complex128, l float64) Mat2 {
 	ch := cmplx.Cosh(gl)
 	sh := cmplx.Sinh(gl)
 	return Mat2{{ch, zc * sh}, {sh / zc, ch}}
-}
-
-// InputImpedanceOfLine returns the input impedance of a transmission line of
-// characteristic impedance zc and propagation constant gamma, length l,
-// terminated in zl.
-func InputImpedanceOfLine(zc, gamma complex128, l float64, zl complex128) complex128 {
-	gl := gamma * complex(l, 0)
-	// cosh/sinh form avoids the tanh pole at quarter-wave lengths.
-	ch := cmplx.Cosh(gl)
-	sh := cmplx.Sinh(gl)
-	return zc * (zl*ch + zc*sh) / (zc*ch + zl*sh)
 }

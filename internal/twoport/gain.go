@@ -1,9 +1,6 @@
 package twoport
 
-import (
-	"math"
-	"math/cmplx"
-)
+import "math"
 
 // GammaFromZ returns the reflection coefficient of impedance z against the
 // reference z0.
@@ -66,93 +63,6 @@ func OperatingGain(s Mat2, gammaL complex128) float64 {
 		return math.Inf(1)
 	}
 	return num / den
-}
-
-// MSG returns the maximum stable gain |S21|/|S12| (linear power ratio). It is
-// the gain limit for a potentially unstable device resistively stabilized to
-// K = 1. Returns +Inf for a unilateral device (S12 == 0).
-func MSG(s Mat2) float64 {
-	if s[0][1] == 0 {
-		return math.Inf(1)
-	}
-	return cmplx.Abs(s[1][0]) / cmplx.Abs(s[0][1])
-}
-
-// MAG returns the maximum available gain for an unconditionally stable
-// device (K >= 1): MAG = |S21|/|S12| * (K - sqrt(K^2-1)). For K < 1 it
-// returns MSG, the conventional fallback.
-func MAG(s Mat2) float64 {
-	k := RolletK(s)
-	msg := MSG(s)
-	if k < 1 || math.IsInf(msg, 1) {
-		return msg
-	}
-	return msg * (k - math.Sqrt(k*k-1))
-}
-
-// MasonU returns Mason's unilateral gain U (linear power ratio), a
-// figure-of-merit invariant under lossless reciprocal embedding.
-func MasonU(s Mat2, z0 float64) (float64, error) {
-	y, err := SToY(s, z0)
-	if err != nil {
-		return 0, err
-	}
-	num := abs2(y[1][0] - y[0][1])
-	den := 4 * (real(y[0][0])*real(y[1][1]) - real(y[0][1])*real(y[1][0]))
-	if den <= 0 {
-		return math.Inf(1), nil
-	}
-	return num / den, nil
-}
-
-// SimultaneousMatch returns the simultaneous conjugate match reflection
-// coefficients (gammaS, gammaL) for an unconditionally stable two-port.
-// It returns ErrUnstable if K < 1 where no simultaneous match exists.
-func SimultaneousMatch(s Mat2) (gammaS, gammaL complex128, err error) {
-	if RolletK(s) < 1 {
-		return 0, 0, ErrUnstable
-	}
-	d := s.Det()
-	b1 := 1 + abs2(s[0][0]) - abs2(s[1][1]) - abs2(d)
-	b2 := 1 + abs2(s[1][1]) - abs2(s[0][0]) - abs2(d)
-	c1 := s[0][0] - d*cmplx.Conj(s[1][1])
-	c2 := s[1][1] - d*cmplx.Conj(s[0][0])
-	gammaS = matchRoot(b1, c1)
-	gammaL = matchRoot(b2, c2)
-	return gammaS, gammaL, nil
-}
-
-// matchRoot picks the |gamma| <= 1 root of the simultaneous-match quadratic.
-func matchRoot(b float64, c complex128) complex128 {
-	ac := cmplx.Abs(c)
-	if ac == 0 {
-		return 0
-	}
-	disc := b*b - 4*ac*ac
-	if disc < 0 {
-		disc = 0
-	}
-	mag := (b - math.Sqrt(disc)) / (2 * ac)
-	if b < 0 {
-		mag = (b + math.Sqrt(disc)) / (2 * ac)
-	}
-	return complex(mag, 0) * cmplx.Conj(c) / complex(ac, 0)
-}
-
-// VSWR returns the voltage standing-wave ratio for reflection magnitude
-// |gamma|.
-func VSWR(gamma complex128) float64 {
-	g := cmplx.Abs(gamma)
-	if g >= 1 {
-		return math.Inf(1)
-	}
-	return (1 + g) / (1 - g)
-}
-
-// MismatchLoss returns the linear power loss factor 1-|gamma|^2 of a
-// reflective interface.
-func MismatchLoss(gamma complex128) float64 {
-	return 1 - abs2(gamma)
 }
 
 func abs2(v complex128) float64 {

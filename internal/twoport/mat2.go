@@ -107,14 +107,6 @@ func (m Mat2) ConjTranspose() Mat2 {
 	}
 }
 
-// Transpose returns the (plain) transpose of m.
-func (m Mat2) Transpose() Mat2 {
-	return Mat2{
-		{m[0][0], m[1][0]},
-		{m[0][1], m[1][1]},
-	}
-}
-
 // Congruence returns t * m * t^H, the congruence transform used for noise
 // correlation matrices.
 func (m Mat2) Congruence(t Mat2) Mat2 {

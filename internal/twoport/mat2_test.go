@@ -8,10 +8,6 @@ import (
 
 func TestMat2TransposeAndConjTranspose(t *testing.T) {
 	m := Mat2{{1 + 2i, 3 - 1i}, {-2i, 4}}
-	tr := m.Transpose()
-	if tr[0][1] != m[1][0] || tr[1][0] != m[0][1] {
-		t.Error("Transpose misplaced entries")
-	}
 	h := m.ConjTranspose()
 	if h[0][1] != cmplx.Conj(m[1][0]) || h[1][0] != cmplx.Conj(m[0][1]) {
 		t.Error("ConjTranspose misplaced entries")
@@ -49,7 +45,7 @@ func TestMat2InvErrors(t *testing.T) {
 }
 
 func TestDirectConversionsRoundTrip(t *testing.T) {
-	// Exercise the Y<->Z<->ABCD<->Y cycle directly (they are covered
+	// Exercise the Y<->Z and Y<->ABCD round trips directly (they are covered
 	// indirectly by the S-based tests, but the direct forms carry their
 	// own singular-case handling).
 	rng := rand.New(rand.NewSource(4))
@@ -82,20 +78,6 @@ func TestDirectConversionsRoundTrip(t *testing.T) {
 		if d := MaxAbsDiff(y, y2); d > 1e-9 {
 			t.Fatalf("Y->A->Y diff %g", d)
 		}
-		a2, err := ZToABCD(z)
-		if err != nil {
-			t.Fatalf("ZToABCD: %v", err)
-		}
-		if d := MaxAbsDiff(a, a2); d > 1e-6*(1+cmplx.Abs(a[0][1])) {
-			t.Fatalf("A via Y vs via Z diff %g", d)
-		}
-		z2, err := ABCDToZ(a)
-		if err != nil {
-			t.Fatalf("ABCDToZ: %v", err)
-		}
-		if d := MaxAbsDiff(z, z2); d > 1e-6*(1+cmplx.Abs(z[0][0])) {
-			t.Fatalf("A->Z diff %g", d)
-		}
 	}
 }
 
@@ -103,9 +85,6 @@ func TestConversionSingularCases(t *testing.T) {
 	// A network with Y21 = 0 has no chain form.
 	if _, err := YToABCD(Mat2{{0.1, 0}, {0, 0.1}}); err == nil {
 		t.Error("YToABCD with Y21=0 accepted")
-	}
-	if _, err := ABCDToZ(Mat2{{1, 50}, {0, 1}}); err == nil {
-		t.Error("ABCDToZ of a series element (C=0) accepted")
 	}
 	if _, err := ABCDToY(Mat2{{1, 0}, {0.02, 1}}); err == nil {
 		t.Error("ABCDToY of a shunt element (B=0) accepted")
@@ -124,23 +103,6 @@ func TestConversionSingularCases(t *testing.T) {
 	}
 	if _, err := HToZ(Mat2{{1, 1}, {1, 0}}); err == nil {
 		t.Error("HToZ with H22=0 accepted")
-	}
-}
-
-func TestIdealTransformer(t *testing.T) {
-	// A 2:1 transformer transforms 50 ohm to 200 ohm (impedance scales by
-	// n^2) and is lossless.
-	a := IdealTransformer(2)
-	// Zin = (A*ZL + B)/(C*ZL + D).
-	zl := complex(50, 0)
-	zin := (a[0][0]*zl + a[0][1]) / (a[1][0]*zl + a[1][1])
-	if cmplx.Abs(zin-200) > 1e-12 {
-		t.Errorf("transformed impedance %v, want 200", zin)
-	}
-	// Cascading n:1 with 1:n gives identity.
-	back := a.Mul(IdealTransformer(0.5))
-	if d := MaxAbsDiff(back, Identity2()); d > 1e-12 {
-		t.Errorf("transformer cascade off identity by %g", d)
 	}
 }
 

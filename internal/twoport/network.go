@@ -78,33 +78,3 @@ func (n *Network) At(f float64) Mat2 {
 	}
 	return out
 }
-
-// Cascade returns the cascade of n followed by m, evaluated on n's frequency
-// grid (m is interpolated). Both must share the same Z0.
-//
-// When both networks sample exactly the same grid — the dominant case, e.g.
-// cascading stage networks produced by the same sweep — the per-point
-// binary-search interpolation is skipped and m's samples are used directly.
-// This is also slightly more exact than the general path: At's interpolation
-// at a grid point computes S[i-1] + 1*(S[i]-S[i-1]), which need not be
-// bitwise equal to S[i].
-func (n *Network) Cascade(m *Network) (*Network, error) {
-	if n.Z0 != m.Z0 {
-		return nil, fmt.Errorf("twoport: cascade Z0 mismatch (%g vs %g)", n.Z0, m.Z0)
-	}
-	out := make([]Mat2, n.Len())
-	if SameGrid(n, m) {
-		if err := CascadeSBand(n.Z0, out, n.S, m.S); err != nil {
-			return nil, fmt.Errorf("twoport: cascade: %w", err)
-		}
-		return NewNetwork(n.Z0, n.Freqs, out)
-	}
-	for i, f := range n.Freqs {
-		s, err := CascadeS(n.Z0, n.S[i], m.At(f))
-		if err != nil {
-			return nil, fmt.Errorf("twoport: cascade at %g Hz: %w", f, err)
-		}
-		out[i] = s
-	}
-	return NewNetwork(n.Z0, n.Freqs, out)
-}

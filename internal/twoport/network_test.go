@@ -112,41 +112,3 @@ func TestNetworkAtBoundaries(t *testing.T) {
 	}()
 	(&Network{Z0: 50}).At(1e9)
 }
-
-func TestNetworkCascadeIdentity(t *testing.T) {
-	// Cascading with a through (S21 = S12 = 1) leaves the network unchanged.
-	thru := Mat2{{0, 1}, {1, 0}}
-	freqs := []float64{1e9, 1.5e9, 2e9}
-	dev := make([]Mat2, len(freqs))
-	th := make([]Mat2, len(freqs))
-	for i := range freqs {
-		dev[i] = atf54143ish
-		th[i] = thru
-	}
-	n1, err := NewNetwork(50, freqs, dev)
-	if err != nil {
-		t.Fatalf("NewNetwork: %v", err)
-	}
-	n2, err := NewNetwork(50, freqs, th)
-	if err != nil {
-		t.Fatalf("NewNetwork: %v", err)
-	}
-	casc, err := n1.Cascade(n2)
-	if err != nil {
-		t.Fatalf("Cascade: %v", err)
-	}
-	for i := range freqs {
-		if d := MaxAbsDiff(casc.S[i], dev[i]); d > 1e-10 {
-			t.Errorf("cascade with through changed S at %g Hz by %g", freqs[i], d)
-		}
-	}
-}
-
-func TestNetworkCascadeZ0Mismatch(t *testing.T) {
-	s := []Mat2{{{0, 1}, {1, 0}}}
-	a, _ := NewNetwork(50, []float64{1e9}, s)
-	b, _ := NewNetwork(75, []float64{1e9}, s)
-	if _, err := a.Cascade(b); err == nil {
-		t.Error("Z0 mismatch accepted")
-	}
-}

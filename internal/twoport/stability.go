@@ -1,14 +1,9 @@
 package twoport
 
 import (
-	"errors"
 	"math"
 	"math/cmplx"
 )
-
-// ErrUnstable reports that an operation requiring unconditional stability was
-// attempted on a potentially unstable two-port.
-var ErrUnstable = errors.New("twoport: two-port is not unconditionally stable")
 
 // RolletK returns the Rollet stability factor K. The two-port is
 // unconditionally stable iff K > 1 and |Delta| < 1.
@@ -39,17 +34,6 @@ func MuSource(s Mat2) float64 {
 	return num / den
 }
 
-// MuLoad returns the dual mu' stability factor for load terminations.
-func MuLoad(s Mat2) float64 {
-	d := s.Det()
-	num := 1 - abs2(s[1][1])
-	den := cmplx.Abs(s[0][0]-d*cmplx.Conj(s[1][1])) + cmplx.Abs(s[0][1]*s[1][0])
-	if den == 0 {
-		return math.Inf(1)
-	}
-	return num / den
-}
-
 // Unconditional reports whether the two-port is unconditionally stable using
 // the K-Delta test.
 func Unconditional(s Mat2) bool {
@@ -62,11 +46,6 @@ type Circle struct {
 	Radius float64
 }
 
-// Contains reports whether gamma lies inside (or on) the circle.
-func (c Circle) Contains(gamma complex128) bool {
-	return cmplx.Abs(gamma-c.Center) <= c.Radius
-}
-
 // SourceStabilityCircle returns the locus of source reflection coefficients
 // for which |GammaOut| = 1.
 func SourceStabilityCircle(s Mat2) Circle {
@@ -76,19 +55,6 @@ func SourceStabilityCircle(s Mat2) Circle {
 		return Circle{Center: 0, Radius: math.Inf(1)}
 	}
 	c := cmplx.Conj(s[0][0]-d*cmplx.Conj(s[1][1])) / complex(den, 0)
-	r := cmplx.Abs(s[0][1]*s[1][0]) / math.Abs(den)
-	return Circle{Center: c, Radius: r}
-}
-
-// LoadStabilityCircle returns the locus of load reflection coefficients for
-// which |GammaIn| = 1.
-func LoadStabilityCircle(s Mat2) Circle {
-	d := s.Det()
-	den := abs2(s[1][1]) - abs2(d)
-	if den == 0 {
-		return Circle{Center: 0, Radius: math.Inf(1)}
-	}
-	c := cmplx.Conj(s[1][1]-d*cmplx.Conj(s[0][0])) / complex(den, 0)
 	r := cmplx.Abs(s[0][1]*s[1][0]) / math.Abs(den)
 	return Circle{Center: c, Radius: r}
 }

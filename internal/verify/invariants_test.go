@@ -21,16 +21,9 @@ func sweepGrid() []float64 {
 // elementCorpus enumerates named passive elements spanning the component
 // models the design flow composes from.
 func elementCorpus() map[string]rfpassive.Element {
-	tbl := &rfpassive.DispersionTable{
-		F: []float64{100e6, 500e6, 1e9, 2e9, 5e9},
-		V: []float64{0.12, 0.28, 0.45, 0.7, 1.3},
-	}
-	ind := rfpassive.NewChipInductor(6.8e-9, rfpassive.Series)
-	ind.ESRTable = tbl
 	return map[string]rfpassive.Element{
 		"series 2.2nH":        rfpassive.NewChipInductor(2.2e-9, rfpassive.Series),
 		"shunt 18nH":          rfpassive.NewChipInductor(18e-9, rfpassive.Shunt),
-		"series 6.8nH tab":    ind,
 		"series 2.2pF":        rfpassive.NewChipCapacitor(2.2e-12, rfpassive.Series),
 		"shunt 10pF":          rfpassive.NewChipCapacitor(10e-12, rfpassive.Shunt),
 		"series 50ohm":        rfpassive.NewChipResistor(50, rfpassive.Series),

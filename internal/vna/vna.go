@@ -11,7 +11,6 @@ package vna
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"gnsslna/internal/device"
@@ -234,13 +233,4 @@ func (m *NFMeter) MeasureNF(freqs []float64, build func(f float64) (noise.TwoPor
 		out[i] = nf + rng.NormFloat64()*m.SigmaDB
 	}
 	return out, nil
-}
-
-// GainPhaseNoiseFloorDB reports the VNA's effective dynamic range given its
-// trace noise, a convenience for documentation and tests.
-func (v *VNA) GainPhaseNoiseFloorDB() float64 {
-	if v.SigmaAbs <= 0 {
-		return math.Inf(-1)
-	}
-	return mathx.DB20(v.SigmaAbs)
 }

@@ -126,18 +126,6 @@ func TestNFMeter(t *testing.T) {
 	}
 }
 
-func TestVNANoiseFloor(t *testing.T) {
-	v := NewVNA(1)
-	floor := v.GainPhaseNoiseFloorDB()
-	if floor > -40 || floor < -80 {
-		t.Errorf("noise floor = %g dB, want around -54 dB for sigma 0.002", floor)
-	}
-	v.SigmaAbs = 0
-	if !math.IsInf(v.GainPhaseNoiseFloorDB(), -1) {
-		t.Error("zero-noise floor must be -Inf")
-	}
-}
-
 func TestSourcePullStatesAndMeasureInPackage(t *testing.T) {
 	// In-package exercise of the source-pull bench (the Lane fit consumes
 	// it from the extract package): the matched state must read near the
