@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"gnsslna/internal/campaign"
 	"gnsslna/internal/obs"
@@ -33,9 +34,19 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the message main prints for err: internal/campaign's errors
+// already start with "campaign: ", and every other error gets that prefix.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "campaign: ") {
+		return msg
+	}
+	return "campaign: " + msg
 }
 
 func usage() error {

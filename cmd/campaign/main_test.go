@@ -122,6 +122,39 @@ func TestPaperCampaignHasFourCells(t *testing.T) {
 	}
 }
 
+// TestErrorLinePrefixOnce pins the exact message main prints: one
+// "campaign: " prefix, whether the error comes from internal/campaign or
+// from the command itself.
+func TestErrorLinePrefixOnce(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.yaml")
+	spec := "version: 1\nname: bad\naxes:\n  bands:\n    - f_low_hz: nan\n"
+	if err := os.WriteFile(bad, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "missing")
+	_, openErr := os.Open(filepath.Join(missing, campaign.SummaryFile))
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"cells", "-spec", bad},
+			"campaign: " + bad + `: line 5: "nan" is not a finite number (quote it for a string)`},
+		{[]string{"check", "-out", missing}, "campaign: " + openErr.Error()},
+		{[]string{"cells"},
+			"campaign: usage: campaign run|cells|check [flags] (see go doc gnsslna/cmd/campaign)"},
+	} {
+		var sb strings.Builder
+		err := run(tc.args, &sb, &sb)
+		if err == nil {
+			t.Fatalf("run(%v) succeeded", tc.args)
+		}
+		if got := errorLine(err); got != tc.want {
+			t.Errorf("run(%v) prints\n%s\nwant\n%s", tc.args, got, tc.want)
+		}
+	}
+}
+
 func TestBadUsage(t *testing.T) {
 	var sb strings.Builder
 	for _, args := range [][]string{

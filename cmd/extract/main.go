@@ -100,7 +100,7 @@ func run(model string, seed int64, quick bool, outDir string, session *obscli.Se
 		}
 		cfg := extract.Config{Seed: seed, Observer: session.Observer(), Control: session.Controller(), Workers: session.Workers()}
 		if quick {
-			cfg.DCEvals, cfg.GlobalEvals, cfg.RefineIters = 6000, 2500, 20
+			cfg = cfg.Quick()
 		}
 		fmt.Printf("extracting %s (three-step: cold-FET direct + DE + LM)...\n", dc.Name())
 		res, err = extract.ThreeStep(ds, dc, cfg)

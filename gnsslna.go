@@ -239,7 +239,7 @@ func ExtractModel(modelName string, opts Options) (ExtractionReport, error) {
 	}
 	cfg := extract.Config{Seed: opts.seed(), Observer: obsv, Control: opts.controller(), Workers: opts.Workers}
 	if opts.Quick {
-		cfg.DCEvals, cfg.GlobalEvals, cfg.RefineIters = 6000, 2500, 20
+		cfg = cfg.Quick()
 	}
 	res, err := extract.ThreeStep(ds, dc, cfg)
 	if err != nil {

@@ -69,17 +69,6 @@ type Builder struct {
 	Dev *device.PHEMT
 	// Sub is the board substrate for lines and tees.
 	Sub rfpassive.Substrate
-	// GateBiasR is the gate bias network resistance (high, lightly loads
-	// the input); DrainRailR the drain feed rail resistance.
-	GateBiasR, DrainRailR float64
-	// GateDampR and DrainDampR sit in series with the bias-feed inductors,
-	// before the bypass capacitors. Below the band the feed inductors are
-	// low impedance, so these resistors damp the low-frequency gain peak
-	// that would otherwise make the stage potentially unstable; in band
-	// the feed inductors isolate them from the signal path.
-	GateDampR, DrainDampR float64
-	// StabR and StabL form the R+L shunt stabilizer on the drain side.
-	StabR, StabL float64
 	// IdealPassives, when set, strips the design's matching elements (LIn,
 	// LOut and COut) of their loss and parasitics (ideal L and C). The bias
 	// tees, the stabilizer and the DC blocks keep their dispersive models.
@@ -122,18 +111,30 @@ type builderGeom struct {
 	err                 error
 }
 
+// The bias network and stabilizer values every builder uses. gateBiasR is
+// the gate bias network resistance (high, lightly loads the input) and
+// drainRailR the drain feed rail resistance. gateDampR and drainDampR sit
+// in series with the bias-feed inductors, before the bypass capacitors.
+// Below the band the feed inductors are low impedance, so these resistors
+// damp the low-frequency gain peak that would otherwise make the stage
+// potentially unstable; in band the feed inductors isolate them from the
+// signal path. stabR and stabL form the R+L shunt stabilizer on the drain
+// side.
+const (
+	gateBiasR  = 3300
+	drainRailR = 10
+	gateDampR  = 47
+	drainDampR = 12
+	stabR      = 68
+	stabL      = 12e-9
+)
+
 // NewBuilder returns a builder on the default low-loss substrate.
 func NewBuilder(dev *device.PHEMT) *Builder {
 	return &Builder{
-		Dev:        dev,
-		Sub:        rfpassive.RogersRO4350(),
-		GateBiasR:  3300,
-		DrainRailR: 10,
-		GateDampR:  47,
-		DrainDampR: 12,
-		StabR:      68,
-		StabL:      12e-9,
-		geom:       &geomCache{},
+		Dev:  dev,
+		Sub:  rfpassive.RogersRO4350(),
+		geom: &geomCache{},
 	}
 }
 
@@ -204,12 +205,12 @@ func newBuilderGeom(b Builder) *builderGeom {
 			BranchLoad: complex(load, 0),
 		})
 	}
-	g.inTee = biasTee(b.GateDampR, b.GateBiasR)
-	g.outTee = biasTee(b.DrainDampR, b.DrainRailR)
+	g.inTee = biasTee(gateDampR, gateBiasR)
+	g.outTee = biasTee(drainDampR, drainRailR)
 	// The R+L shunt stabilizer loads the drain below the band (where the
 	// device gain peaks) and is lifted out of the way in band by its
 	// inductor; being on the output it costs gain margin, not noise.
-	g.stab = rfpassive.NewShared(rfpassive.StabilizerRL(b.StabR, b.StabL))
+	g.stab = rfpassive.NewShared(rfpassive.StabilizerRL(stabR, stabL))
 	g.dcBlock = rfpassive.NewShared(rfpassive.DCBlock(100e-12))
 	return g
 }

@@ -91,7 +91,7 @@ func (d *Designer) BOM(x Design, bn BiasNetwork) []BOMLine {
 		{Ref: "L3", Value: units.Format(x.LDegen, "H"), Role: "source degeneration (stub/via)"},
 		{Ref: "L4", Value: units.Format(68e-9, "H"), Role: "gate bias feed"},
 		{Ref: "L5", Value: units.Format(68e-9, "H"), Role: "drain bias feed"},
-		{Ref: "L6", Value: units.Format(b.StabL, "H"), Role: "output stabilizer inductor"},
+		{Ref: "L6", Value: units.Format(stabL, "H"), Role: "output stabilizer inductor"},
 		{Ref: "C1", Value: units.Format(100e-12, "F"), Role: "input DC block"},
 		{Ref: "C2", Value: units.Format(x.COut, "F"), Role: "output shunt match"},
 		{Ref: "C3", Value: units.Format(100e-12, "F"), Role: "output DC block"},
@@ -100,9 +100,9 @@ func (d *Designer) BOM(x Design, bn BiasNetwork) []BOMLine {
 		{Ref: "R1", Value: units.Format(bn.R1, "Ohm"), Role: "gate divider (top)"},
 		{Ref: "R2", Value: units.Format(bn.R2, "Ohm"), Role: "gate divider (bottom)"},
 		{Ref: "R3", Value: units.Format(bn.RDrain, "Ohm"), Role: "drain feed"},
-		{Ref: "R4", Value: units.Format(b.GateDampR, "Ohm"), Role: "gate feed damper"},
-		{Ref: "R5", Value: units.Format(b.DrainDampR, "Ohm"), Role: "drain feed damper"},
-		{Ref: "R6", Value: units.Format(b.StabR, "Ohm"), Role: "output stabilizer resistor"},
+		{Ref: "R4", Value: units.Format(gateDampR, "Ohm"), Role: "gate feed damper"},
+		{Ref: "R5", Value: units.Format(drainDampR, "Ohm"), Role: "drain feed damper"},
+		{Ref: "R6", Value: units.Format(stabR, "Ohm"), Role: "output stabilizer resistor"},
 	}
 }
 

@@ -100,10 +100,9 @@ type Designer struct {
 	// Z0 is the system impedance (default 50).
 	Z0 float64
 	// Workers bounds the goroutines used to fan out the independent band
-	// evaluations of the corner, sensitivity and yield sweeps, and is
-	// forwarded to the optimizer when Optimize's options leave it unset
-	// (<= 1: serial, today's exact behavior). Evaluate itself is safe for
-	// concurrent calls.
+	// evaluations of the sensitivity and yield sweeps (<= 1: serial).
+	// Optimize takes its worker count from its options alone. Evaluate
+	// itself is safe for concurrent calls.
 	Workers int
 
 	// Memo, when non-nil, caches successful Evaluate results keyed by the
@@ -425,10 +424,6 @@ func (d *Designer) Optimize(opts *optim.AttainOptions) (DesignResult, error) {
 	var o optim.AttainOptions
 	if opts != nil {
 		o = *opts
-	}
-	if o.Workers <= 1 && d.Workers > 1 {
-		o.Workers = d.Workers
-		opts = &o
 	}
 	safe := resilience.NewSafeBoundedVector(raw, len(unusable), &resilience.SafeOptions{
 		Penalty: unusable[0], BreakerK: 64,

@@ -89,10 +89,10 @@ func (b *Builder) BuildDistributed(d DistributedDesign) (*Amplifier, error) {
 		WBranch: w50 / 3,
 		Branch: rfpassive.Chain{
 			rfpassive.NewChipInductor(68e-9, rfpassive.Series),
-			rfpassive.NewChipResistor(b.GateDampR, rfpassive.Series),
+			rfpassive.NewChipResistor(gateDampR, rfpassive.Series),
 			rfpassive.NewChipCapacitor(100e-12, rfpassive.Shunt),
 		},
-		BranchLoad: complex(b.GateBiasR, 0),
+		BranchLoad: complex(gateBiasR, 0),
 	}
 	input := rfpassive.Chain{
 		rfpassive.DCBlock(100e-12),
@@ -107,13 +107,13 @@ func (b *Builder) BuildDistributed(d DistributedDesign) (*Amplifier, error) {
 		WBranch: w50 / 3,
 		Branch: rfpassive.Chain{
 			rfpassive.NewChipInductor(68e-9, rfpassive.Series),
-			rfpassive.NewChipResistor(b.DrainDampR, rfpassive.Series),
+			rfpassive.NewChipResistor(drainDampR, rfpassive.Series),
 			rfpassive.NewChipCapacitor(100e-12, rfpassive.Shunt),
 		},
-		BranchLoad: complex(b.DrainRailR, 0),
+		BranchLoad: complex(drainRailR, 0),
 	}
 	output := rfpassive.Chain{
-		rfpassive.StabilizerRL(b.StabR, b.StabL),
+		rfpassive.StabilizerRL(stabR, stabL),
 		outputTee,
 		rfpassive.Line{Sub: b.Sub, W: wSeries, Len: d.LenOut, Dispersion: true},
 		openStub(b.Sub, w50, wStub, d.StubOut),

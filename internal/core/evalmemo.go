@@ -245,8 +245,6 @@ type memoCtx struct {
 	dev  *device.PHEMT
 	sub  rfpassive.Substrate
 
-	gateBiasR, drainRailR, gateDampR, drainDampR, stabR, stabL float64
-
 	ideal bool
 }
 
@@ -264,17 +262,11 @@ func (d *Designer) snapshotCtx() (memoCtx, bool) {
 		return memoCtx{}, false
 	}
 	return memoCtx{
-		spec:       d.Spec,
-		z0:         d.z0(),
-		dev:        b.Dev,
-		sub:        b.Sub,
-		gateBiasR:  b.GateBiasR,
-		drainRailR: b.DrainRailR,
-		gateDampR:  b.GateDampR,
-		drainDampR: b.DrainDampR,
-		stabR:      b.StabR,
-		stabL:      b.StabL,
-		ideal:      b.IdealPassives,
+		spec:  d.Spec,
+		z0:    d.z0(),
+		dev:   b.Dev,
+		sub:   b.Sub,
+		ideal: b.IdealPassives,
 	}, true
 }
 
@@ -355,12 +347,6 @@ func hashCtx(c memoCtx) uint64 {
 	h = fnvF64(h, c.sub.Rho)
 	h = fnvF64(h, c.sub.Temp)
 	// Builder passives.
-	h = fnvF64(h, c.gateBiasR)
-	h = fnvF64(h, c.drainRailR)
-	h = fnvF64(h, c.gateDampR)
-	h = fnvF64(h, c.drainDampR)
-	h = fnvF64(h, c.stabR)
-	h = fnvF64(h, c.stabL)
 	h = fnvBool(h, c.ideal)
 	// Device variant.
 	dev := c.dev

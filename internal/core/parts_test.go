@@ -156,12 +156,12 @@ func TestBuildSharesInvariantParts(t *testing.T) {
 		t.Error("alternating between two builder settings rebuilt the parts")
 	}
 
-	b.StabR++
+	b.Sub.Temp++
 	a3, err := b.Build(referenceDesign)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a3.Output[0] == a1.Output[0] {
-		t.Error("a changed StabR reused the old stabilizer")
+		t.Error("a changed substrate temperature reused the old stabilizer")
 	}
 }

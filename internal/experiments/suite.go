@@ -112,9 +112,9 @@ func (s *Suite) Dataset() (*vna.Dataset, error) {
 
 // extractCfg returns the extraction budget for the suite mode.
 func (s *Suite) extractCfg(seed int64) extract.Config {
-	cfg := extract.Config{Seed: seed, DCEvals: 20000, GlobalEvals: 8000, RefineIters: 60, Observer: s.obs(), Control: s.cfg.Control, Workers: s.cfg.Workers}
+	cfg := extract.Config{Seed: seed, Observer: s.obs(), Control: s.cfg.Control, Workers: s.cfg.Workers}
 	if s.cfg.Quick {
-		cfg.DCEvals, cfg.GlobalEvals, cfg.RefineIters = 6000, 2500, 20
+		cfg = cfg.Quick()
 	}
 	return cfg
 }

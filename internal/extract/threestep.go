@@ -28,10 +28,6 @@ type Config struct {
 	// fit stays serial: its objective mutates one model instance. The
 	// search trajectory is identical for any worker count.
 	Workers int
-	// NoiseModel, when set, is attached to the extracted device (the S and
-	// I-V data do not constrain it; callers supply datasheet-style noise
-	// temperatures).
-	NoiseModel device.NoiseModel
 	// Observer receives per-step spans ("extract.step1.coldfet",
 	// "extract.step2.dcfit", "extract.step2.sfit", "extract.step3") and
 	// the nested optimizers' convergence events under sub-scopes such as
@@ -56,11 +52,20 @@ func (c Config) defaults() Config {
 	if c.RefineIters <= 0 {
 		c.RefineIters = 60
 	}
-	if c.NoiseModel == (device.NoiseModel{}) {
-		c.NoiseModel = device.NoiseModel{Tg: 300, Td0: 850, TdSlope: 14000, Ta: 290}
-	}
 	return c
 }
+
+// Quick returns c with the quick extraction budget: 6000 DC-fit
+// evaluations, 2500 step-2 RF evaluations and 20 refinement iterations.
+func (c Config) Quick() Config {
+	c.DCEvals, c.GlobalEvals, c.RefineIters = 6000, 2500, 20
+	return c
+}
+
+// extractedNoise is attached to every extracted device: the S and I-V data
+// do not constrain the noise temperatures, so they are datasheet-style
+// values.
+var extractedNoise = device.NoiseModel{Tg: 300, Td0: 850, TdSlope: 14000, Ta: 290}
 
 // Result reports a complete extraction.
 type Result struct {
@@ -154,7 +159,7 @@ func ThreeStep(ds *vna.Dataset, dc device.DCModel, cfg Config) (Result, error) {
 
 	d := sresJoint.device(lm.X)
 	d.Name = "extracted-" + dc.Name()
-	d.Noise = cfg.NoiseModel
+	d.Noise = extractedNoise
 	res.Device = &d
 	res.SRMSE = sresJoint.RMSE(lm.X)
 	res.SEvals = sresJoint.Evals()

@@ -61,10 +61,6 @@ func (p Params) FigureY(ys complex128) float64 {
 	return p.Fmin + p.Rn/gs*(real(d)*real(d)+imag(d)*imag(d))
 }
 
-// Te returns the equivalent input noise temperature in kelvin at the optimum
-// source.
-func (p Params) Te() float64 { return mathx.NFToTemp(p.Fmin) }
-
 // Circle returns the locus of source reflection coefficients giving the
 // noise figure f (linear, must be >= Fmin) as a circle in the Gamma plane.
 func (p Params) Circle(f float64) (twoport.Circle, error) {
@@ -92,15 +88,6 @@ func Friis(f, g []float64) float64 {
 		total += (f[i] - 1) / gain
 	}
 	return total
-}
-
-// Measure returns the noise measure M = (F-1)/(1-1/GA), which ranks devices
-// for infinite-cascade noise performance.
-func Measure(f, ga float64) float64 {
-	if ga <= 1 {
-		return math.Inf(1)
-	}
-	return (f - 1) / (1 - 1/ga)
 }
 
 func sqAbs(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }

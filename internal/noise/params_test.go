@@ -22,9 +22,6 @@ func TestFigureFormulaAgainstDefinition(t *testing.T) {
 	if got := p.Figure(0); !mathx.CloseRel(got, want, 1e-12) {
 		t.Errorf("F(0) = %g, want %g", got, want)
 	}
-	if !mathx.CloseRel(p.Te(), (p.Fmin-1)*290, 1e-12) {
-		t.Error("Te inconsistent")
-	}
 	if p.FminDB() != mathx.DB10(p.Fmin) {
 		t.Error("FminDB inconsistent")
 	}
@@ -80,27 +77,6 @@ func TestFriis(t *testing.T) {
 	f := Friis([]float64{1.2, 100}, []float64{1e6, 1})
 	if math.Abs(f-1.2) > 1e-3 {
 		t.Errorf("high-gain Friis = %g, want ~1.2", f)
-	}
-}
-
-func TestNoiseMeasure(t *testing.T) {
-	if m := Measure(2, 10); !mathx.Close(m, 1.0/0.9, 1e-12) {
-		t.Errorf("Measure = %g, want %g", m, 1.0/0.9)
-	}
-	if !math.IsInf(Measure(2, 1), 1) {
-		t.Error("Measure with GA <= 1 must be +Inf")
-	}
-	// The noise measure equals F-1 of an infinite cascade of identical
-	// stages: M = F_inf - 1 where F_inf = Friis limit.
-	f, g := 1.8, 4.0
-	fs := make([]float64, 30)
-	gs := make([]float64, 30)
-	for i := range fs {
-		fs[i], gs[i] = f, g
-	}
-	finf := Friis(fs, gs)
-	if math.Abs((finf-1)-Measure(f, g)) > 1e-9 {
-		t.Errorf("infinite cascade F-1 = %g, Measure = %g", finf-1, Measure(f, g))
 	}
 }
 

@@ -54,10 +54,7 @@ func ReadBuildInfo() BuildInfo {
 //
 // The registry's own writer cannot produce it (registry metrics carry only a
 // name label), so the /metrics handler emits this family separately.
-func WriteBuildInfoProm(w io.Writer, namespace string, bi BuildInfo) error {
-	if namespace == "" {
-		namespace = DefaultNamespace
-	}
+func WriteBuildInfoProm(w io.Writer, bi BuildInfo) error {
 	fam := namespace + "_build_info"
 	if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", fam); err != nil {
 		return err

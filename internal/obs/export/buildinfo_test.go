@@ -24,7 +24,7 @@ func TestReadBuildInfo(t *testing.T) {
 func TestWriteBuildInfoProm(t *testing.T) {
 	var buf bytes.Buffer
 	bi := BuildInfo{Version: "v1.2.3", Commit: "abc\"def", GoVersion: "go1.22.1"}
-	if err := WriteBuildInfoProm(&buf, "", bi); err != nil {
+	if err := WriteBuildInfoProm(&buf, bi); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -16,8 +16,8 @@ import (
 	"gnsslna/internal/obs"
 )
 
-// DefaultNamespace prefixes every exposed metric family.
-const DefaultNamespace = "gnsslna"
+// namespace prefixes every exposed metric family.
+const namespace = "gnsslna"
 
 // SanitizeName lowers an internal dotted metric name ("design.attain.de.ms")
 // to a legal Prometheus metric-name fragment: every rune outside
@@ -99,7 +99,7 @@ type family struct {
 // sorted by exposed name and series within a family by their name label.
 //
 // Naming: a registry metric "design.attain.de.evals" becomes the family
-// <namespace>_design_attain_de_evals (counters gain the conventional _total
+// gnsslna_design_attain_de_evals (counters gain the conventional _total
 // suffix) and keeps its exact registry name in the name="..." label, escaped
 // per the text format. Two registry names that sanitize identically (e.g.
 // "a.b" and "a_b") legally share a family, distinguished by the name label;
@@ -109,12 +109,9 @@ type family struct {
 // Histogram buckets come from obs.Histogram.Cumulative, so the le bounds are
 // cumulative and the +Inf bucket equals the sample count, as the format
 // requires.
-func WritePrometheus(w io.Writer, reg *obs.Registry, namespace string) error {
+func WritePrometheus(w io.Writer, reg *obs.Registry) error {
 	if reg == nil {
 		return nil
-	}
-	if namespace == "" {
-		namespace = DefaultNamespace
 	}
 	s := reg.Snapshot()
 

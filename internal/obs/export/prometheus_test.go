@@ -12,7 +12,7 @@ import (
 func render(t *testing.T, reg *obs.Registry) string {
 	t.Helper()
 	var b strings.Builder
-	if err := WritePrometheus(&b, reg, ""); err != nil {
+	if err := WritePrometheus(&b, reg); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	return b.String()
@@ -223,7 +223,7 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 
 func TestWritePrometheusNilRegistry(t *testing.T) {
 	var b strings.Builder
-	if err := WritePrometheus(&b, nil, ""); err != nil || b.Len() != 0 {
+	if err := WritePrometheus(&b, nil); err != nil || b.Len() != 0 {
 		t.Fatalf("nil registry: err=%v out=%q, want empty success", err, b.String())
 	}
 }

@@ -20,8 +20,6 @@ import (
 type Options struct {
 	// Registry backs /metrics (nil: endpoint serves an empty exposition).
 	Registry *obs.Registry
-	// Namespace prefixes metric families ("" uses DefaultNamespace).
-	Namespace string
 	// Broadcast feeds the /events SSE stream (nil: the endpoint reports
 	// 503, events unavailable).
 	Broadcast *Broadcaster
@@ -64,8 +62,8 @@ func NewHandler(o Options) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WriteBuildInfoProm(w, o.Namespace, ReadBuildInfo())
-		_ = WritePrometheus(w, o.Registry, o.Namespace)
+		_ = WriteBuildInfoProm(w, ReadBuildInfo())
+		_ = WritePrometheus(w, o.Registry)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		h := resilience.HealthState{OK: true}

@@ -75,8 +75,6 @@ func (c *counter) call(xs [][]float64, bounds []float64, i int) float64 {
 type NMOptions struct {
 	// MaxEvals caps objective evaluations (default 2000 * dim).
 	MaxEvals int
-	// Tol is the simplex spread tolerance (default 1e-10).
-	Tol float64
 	// Scale is the initial simplex edge length (default 0.1 per coordinate,
 	// scale-aware).
 	Scale float64
@@ -93,13 +91,10 @@ type NMOptions struct {
 }
 
 func (o *NMOptions) defaults(dim int) NMOptions {
-	out := NMOptions{MaxEvals: 2000 * dim, Tol: 1e-10, Scale: 0.1}
+	out := NMOptions{MaxEvals: 2000 * dim, Scale: 0.1}
 	if o != nil {
 		if o.MaxEvals > 0 {
 			out.MaxEvals = o.MaxEvals
-		}
-		if o.Tol > 0 {
-			out.Tol = o.Tol
 		}
 		if o.Scale > 0 {
 			out.Scale = o.Scale
@@ -184,8 +179,8 @@ func nelderMead(f Objective, x0 []float64, opts *NMOptions) (Result, error) {
 			em.done(c.n, fv[0])
 			return Result{X: simplex[0], F: fv[0], Evals: c.n, Converged: false}, err
 		}
-		// Convergence: simplex function spread.
-		if math.Abs(fv[n]-fv[0]) <= o.Tol*(1+math.Abs(fv[0])) {
+		// Convergence: simplex function spread within a relative 1e-10.
+		if math.Abs(fv[n]-fv[0]) <= 1e-10*(1+math.Abs(fv[0])) {
 			em.done(c.n, fv[0])
 			return Result{X: simplex[0], F: fv[0], Evals: c.n, Converged: true}, nil
 		}

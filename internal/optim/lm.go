@@ -20,10 +20,6 @@ type ResidualFunc func(x []float64) []float64
 type LMOptions struct {
 	// MaxIter caps outer iterations (default 200).
 	MaxIter int
-	// Tol is the relative cost-decrease tolerance (default 1e-12).
-	Tol float64
-	// Lambda0 is the initial damping (default 1e-3).
-	Lambda0 float64
 	// Lower and Upper optionally box-constrain the parameters (projected
 	// steps). Nil means unconstrained.
 	Lower, Upper []float64
@@ -69,7 +65,8 @@ func levenbergMarquardt(r ResidualFunc, x0 []float64, opts *LMOptions) (LMResult
 	if n == 0 {
 		return LMResult{}, ErrBadInput
 	}
-	maxIter, tol, lambda := 200, 1e-12, 1e-3
+	const tol = 1e-12 // relative cost decrease that ends the fit
+	maxIter, lambda := 200, 1e-3
 	var lower, upper []float64
 	var observer obs.Observer
 	var ctrl *resilience.RunController
@@ -77,12 +74,6 @@ func levenbergMarquardt(r ResidualFunc, x0 []float64, opts *LMOptions) (LMResult
 	if opts != nil {
 		if opts.MaxIter > 0 {
 			maxIter = opts.MaxIter
-		}
-		if opts.Tol > 0 {
-			tol = opts.Tol
-		}
-		if opts.Lambda0 > 0 {
-			lambda = opts.Lambda0
 		}
 		lower, upper = opts.Lower, opts.Upper
 		observer, scope = opts.Observer, opts.Scope

@@ -2,7 +2,6 @@ package optim
 
 import (
 	"context"
-	"math"
 
 	"gnsslna/internal/obs"
 	"gnsslna/internal/resilience"
@@ -14,15 +13,8 @@ type DEOptions struct {
 	Pop int
 	// Generations caps the number of generations (default 300).
 	Generations int
-	// F is the differential weight (default 0.7).
-	F float64
-	// CR is the crossover probability (default 0.9).
-	CR float64
 	// Seed seeds the deterministic RNG (default 1).
 	Seed int64
-	// Tol stops early when the population's objective spread falls below it
-	// (default 0: run all generations).
-	Tol float64
 	// Workers bounds the goroutines used to evaluate each generation's trial
 	// batch (<= 1: serial). All randomness stays on the driver goroutine and
 	// results are consumed in index order, so the run is bit-identical for
@@ -96,7 +88,8 @@ func differentialEvolution(ctx context.Context, c *counter, lo, hi []float64, op
 	if pop < 20 {
 		pop = 20
 	}
-	gens, fw, cr, seed, tol, workers := 300, 0.7, 0.9, int64(1), 0.0, 1
+	const fw, cr = 0.7, 0.9 // differential weight, crossover probability
+	gens, seed, workers := 300, int64(1), 1
 	var observer obs.Observer
 	var ctrl *resilience.RunController
 	scope := ""
@@ -108,17 +101,8 @@ func differentialEvolution(ctx context.Context, c *counter, lo, hi []float64, op
 		if opts.Generations > 0 {
 			gens = opts.Generations
 		}
-		if opts.F > 0 {
-			fw = opts.F
-		}
-		if opts.CR > 0 {
-			cr = opts.CR
-		}
 		if opts.Seed != 0 {
 			seed = opts.Seed
-		}
-		if opts.Tol > 0 {
-			tol = opts.Tol
 		}
 		observer, scope, ctrl = opts.Observer, opts.Scope, opts.Control
 	}
@@ -217,17 +201,6 @@ func differentialEvolution(ctx context.Context, c *counter, lo, hi []float64, op
 			}
 		}
 		em.gen(g, c.n, fs[best])
-		if tol > 0 {
-			mn, mx := fs[0], fs[0]
-			for _, v := range fs[1:] {
-				mn = math.Min(mn, v)
-				mx = math.Max(mx, v)
-			}
-			if mx-mn < tol*(1+math.Abs(mn)) {
-				em.done(c.n, fs[best])
-				return Result{X: append([]float64(nil), xs[best]...), F: fs[best], Evals: c.n, Converged: true}, nil
-			}
-		}
 	}
 	em.done(c.n, fs[best])
 	return Result{X: append([]float64(nil), xs[best]...), F: fs[best], Evals: c.n, Converged: false}, nil

@@ -17,11 +17,6 @@ type NSGA2Options struct {
 	Generations int
 	// Seed seeds the deterministic RNG (default 1).
 	Seed int64
-	// CrossoverEta and MutationEta are the SBX / polynomial-mutation
-	// distribution indices (defaults 15 and 20).
-	CrossoverEta, MutationEta float64
-	// MutationProb is the per-gene mutation probability (default 1/dim).
-	MutationProb float64
 	// Workers bounds the goroutines used to evaluate each generation's
 	// offspring batch (<= 1: serial). Variation draws stay on the driver
 	// goroutine and offspring are evaluated as one batch written back by
@@ -73,8 +68,8 @@ func nsga2(ctx context.Context, obj VectorObjective, lo, hi []float64, opts *NSG
 		return NSGA2Result{}, ErrBadInput
 	}
 	pop, gens, seed, workers := 80, 100, int64(1), 1
-	etaC, etaM := 15.0, 20.0
-	pm := 1.0 / float64(n)
+	const etaC, etaM = 15.0, 20.0 // SBX and polynomial-mutation distribution indices
+	pm := 1.0 / float64(n)        // per-gene mutation probability
 	var observer obs.Observer
 	var ctrl *resilience.RunController
 	scope := ""
@@ -90,15 +85,6 @@ func nsga2(ctx context.Context, obj VectorObjective, lo, hi []float64, opts *NSG
 		}
 		if opts.Seed != 0 {
 			seed = opts.Seed
-		}
-		if opts.CrossoverEta > 0 {
-			etaC = opts.CrossoverEta
-		}
-		if opts.MutationEta > 0 {
-			etaM = opts.MutationEta
-		}
-		if opts.MutationProb > 0 {
-			pm = opts.MutationProb
 		}
 	}
 	if pop%2 == 1 {

@@ -103,10 +103,6 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// Backoff schedules the inter-attempt delays.
 	Backoff Backoff
-	// Classify reports whether an error is worth retrying. Nil defaults to
-	// IsTransient. A *Stopped error is never retried regardless: stops are
-	// the caller's budget speaking, not the operation failing.
-	Classify func(error) bool
 	// Sleep overrides the inter-attempt wait (tests). Nil uses a
 	// context-aware timer sleep.
 	Sleep func(ctx context.Context, d time.Duration)
@@ -119,14 +115,13 @@ func (p RetryPolicy) attempts() int {
 	return p.MaxAttempts
 }
 
-func (p RetryPolicy) retryable(err error) bool {
-	if _, stopped := AsStopped(err); stopped {
-		return false
-	}
-	if p.Classify != nil {
-		return p.Classify(err)
-	}
-	return IsTransient(err)
+// retryable reports whether err is worth another attempt: it must be
+// marked with Transient, and a *Stopped error is never retried, even when
+// so marked: stops are the caller's budget speaking, not the operation
+// failing.
+func retryable(err error) bool {
+	_, stopped := AsStopped(err)
+	return !stopped && IsTransient(err)
 }
 
 func (p RetryPolicy) sleep(ctx context.Context, d time.Duration) {
@@ -157,7 +152,7 @@ func (p RetryPolicy) Do(ctx context.Context, f func(attempt int) error) error {
 		if err == nil {
 			return nil
 		}
-		if attempt >= max || !p.retryable(err) {
+		if attempt >= max || !retryable(err) {
 			if attempt > 1 {
 				return fmt.Errorf("after %d attempts: %w", attempt, err)
 			}

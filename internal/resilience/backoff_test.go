@@ -108,13 +108,12 @@ func TestRetryPolicyRetriesTransientOnly(t *testing.T) {
 func TestRetryPolicyNeverRetriesStops(t *testing.T) {
 	p := RetryPolicy{
 		MaxAttempts: 5,
-		Classify:    func(error) bool { return true }, // everything "transient"…
 		Sleep:       func(context.Context, time.Duration) {},
 	}
 	calls := 0
 	err := p.Do(context.Background(), func(int) error {
 		calls++
-		return &Stopped{Reason: StopDeadline} // …except a budget stop
+		return Transient(&Stopped{Reason: StopDeadline}) // a budget stop, even marked transient
 	})
 	if calls != 1 {
 		t.Fatalf("stopped error retried: %d calls, want 1", calls)

@@ -148,7 +148,7 @@ func runExtract(ctx context.Context, job *Job, checkpoint string, o obs.Observer
 	}
 	cfg := extract.Config{Seed: seed, Observer: o, Control: jobController(ctx, job)}
 	if job.Spec.Quick {
-		cfg.DCEvals, cfg.GlobalEvals, cfg.RefineIters = 6000, 2500, 20
+		cfg = cfg.Quick()
 	}
 	res, err := extract.ThreeStep(ds, dc, cfg)
 	if err != nil {

@@ -251,8 +251,8 @@ func (f *Fleet) execute(fleetCtx context.Context, job *Job, worker int) {
 	}
 }
 
-// poisonError short-circuits the retry loop (Classify and IsTransient both
-// reject it) and routes the job to quarantine rather than plain failure.
+// poisonError short-circuits the retry loop (IsTransient rejects it)
+// and routes the job to quarantine rather than plain failure.
 type poisonError struct{ msg string }
 
 func (p *poisonError) Error() string { return "poisoned: " + p.msg }

@@ -25,16 +25,16 @@ func ExampleCascadeS() {
 	// |S11| = 0.0000
 }
 
-// ExampleRolletK checks the stability of a transistor-like S-matrix.
+// ExampleRolletK computes the Rollet stability factor of a
+// transistor-like S-matrix.
 func ExampleRolletK() {
 	s := twoport.Mat2{
 		{complex(0.3, 0.2), complex(0.05, 0.01)},
 		{complex(2.0, 1.0), complex(0.4, -0.3)},
 	}
-	fmt.Printf("K = %.3f, unconditional = %v\n",
-		twoport.RolletK(s), twoport.Unconditional(s))
+	fmt.Printf("K = %.3f\n", twoport.RolletK(s))
 	// Output:
-	// K = 2.782, unconditional = true
+	// K = 2.782
 }
 
 // ExampleGammaFromZ converts an impedance to a reflection coefficient and

@@ -108,9 +108,6 @@ func TestConversionSingularCases(t *testing.T) {
 
 func TestDeltaAndScale(t *testing.T) {
 	s := Mat2{{0.5, 0.1}, {2, 0.3}}
-	if Delta(s) != s.Det() {
-		t.Error("Delta must equal the determinant")
-	}
 	sc := s.Scale(2)
 	if sc[1][0] != 4 {
 		t.Error("Scale wrong")

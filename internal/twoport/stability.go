@@ -17,10 +17,6 @@ func RolletK(s Mat2) float64 {
 	return num / den
 }
 
-// Delta returns the determinant of the scattering matrix, used together with
-// K in the classical stability test.
-func Delta(s Mat2) complex128 { return s.Det() }
-
 // MuSource returns the mu stability factor (geometric distance from the
 // center of the Smith chart to the nearest unstable source termination).
 // mu > 1 is a single-parameter test of unconditional stability.
@@ -32,12 +28,6 @@ func MuSource(s Mat2) float64 {
 		return math.Inf(1)
 	}
 	return num / den
-}
-
-// Unconditional reports whether the two-port is unconditionally stable using
-// the K-Delta test.
-func Unconditional(s Mat2) bool {
-	return RolletK(s) > 1 && cmplx.Abs(s.Det()) < 1
 }
 
 // Circle describes a circle in the reflection-coefficient plane.

@@ -3,7 +3,6 @@ package verify
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -186,24 +185,5 @@ func TestDifferentialTouchstoneRoundTrip(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestDifferentialNetworkAtAgainstDirect spot-checks that Network.At linear
-// interpolation reproduces an analytically evaluated ladder mid-grid within
-// the local linearization error.
-func TestDifferentialNetworkAtAgainstDirect(t *testing.T) {
-	elems := []LadderElem{{Series: true, L: 4.7e-9}, {C: 1.2e-12}}
-	dense, err := LadderNetworkAnalytic(elems, []float64{1.0e9, 1.05e9}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := 1.025e9
-	direct, err := LadderNetworkAnalytic(elems, []float64{mid}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := twoport.MaxAbsDiff(dense.At(mid), direct.S[0]); d > 1e-3 || math.IsNaN(d) {
-		t.Fatalf("interpolated vs direct at %g Hz differ by %g", mid, d)
 	}
 }

@@ -37,7 +37,7 @@ func (r *RawChain) MeasureRaw(freqs []float64, dut func(f float64) (twoport.Mat2
 		if err != nil {
 			return twoport.Mat2{}, err
 		}
-		return r.TestSet.Raw(s, r.Inner.z0())
+		return r.TestSet.Raw(s, twoport.Z0Default)
 	})
 }
 
@@ -46,7 +46,7 @@ func (r *RawChain) MeasureRaw(freqs []float64, dut func(f float64) (twoport.Mat2
 // measure the DUT raw and return the corrected network. The standards are
 // measured with the same trace noise as the DUT.
 func (r *RawChain) CalibrateAndMeasure(freqs []float64, dut func(f float64) (twoport.Mat2, error)) (*twoport.Network, error) {
-	z0 := r.Inner.z0()
+	z0 := twoport.Z0Default
 	// In this model the adapters are frequency-flat, so one calibration
 	// serves the whole sweep (the general per-frequency case would repeat
 	// this block per point).
@@ -78,6 +78,6 @@ func (r *RawChain) CalibrateAndMeasure(freqs []float64, dut func(f float64) (two
 // MeasureDeviceCalibrated is a convenience wrapper for transistor sweeps.
 func (r *RawChain) MeasureDeviceCalibrated(d *device.PHEMT, b device.Bias, freqs []float64) (*twoport.Network, error) {
 	return r.CalibrateAndMeasure(freqs, func(f float64) (twoport.Mat2, error) {
-		return d.SAt(b, f, r.Inner.z0())
+		return d.SAt(b, f, twoport.Z0Default)
 	})
 }

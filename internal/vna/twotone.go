@@ -15,12 +15,6 @@ type TwoToneConfig struct {
 	// Resolution is the spectral bin spacing; F1, F2 and the IM products
 	// must all be integer multiples of it (e.g. 100 kHz for 1 MHz spacing).
 	Resolution float64
-	// Oversample is the sampling factor relative to the highest tone
-	// (default 8).
-	Oversample int
-	// LoadOhms is the output termination resistance for power conversion
-	// (default 50).
-	LoadOhms float64
 }
 
 // TwoToneResult reports the tone and intermod levels of one drive level.
@@ -31,17 +25,6 @@ type TwoToneResult struct {
 	PFundDBm float64
 	// PIM3DBm is the output power of the 2f1-f2 product in dBm.
 	PIM3DBm float64
-}
-
-// defaults fills in unset configuration values.
-func (c TwoToneConfig) defaults() TwoToneConfig {
-	if c.Oversample == 0 {
-		c.Oversample = 8
-	}
-	if c.LoadOhms == 0 {
-		c.LoadOhms = 50
-	}
-	return c
 }
 
 func (c TwoToneConfig) validate() error {
@@ -62,15 +45,14 @@ func (c TwoToneConfig) validate() error {
 
 // RunTwoTone drives the transistor's nonlinear transconductance with a
 // two-tone gate voltage around the bias point, samples the drain current
-// waveform coherently and extracts the fundamental and IM3 tones with a
-// Goertzel DFT. The returned powers are the tone powers delivered to the
-// load resistance.
+// waveform coherently at 8 times the highest tone and extracts the
+// fundamental and IM3 tones with a Goertzel DFT. The returned powers are the
+// tone powers delivered to a 50-ohm load.
 func RunTwoTone(d *device.PHEMT, b device.Bias, drive float64, cfg TwoToneConfig) (TwoToneResult, error) {
-	cfg = cfg.defaults()
 	if err := cfg.validate(); err != nil {
 		return TwoToneResult{}, err
 	}
-	fs, n := mathx.CoherentSampling([]float64{cfg.F1, cfg.F2}, cfg.Resolution, cfg.Oversample)
+	fs, n := mathx.CoherentSampling([]float64{cfg.F1, cfg.F2}, cfg.Resolution, 8)
 	x := make([]float64, n)
 	w1 := 2 * math.Pi * cfg.F1
 	w2 := 2 * math.Pi * cfg.F2
@@ -81,9 +63,9 @@ func RunTwoTone(d *device.PHEMT, b device.Bias, drive float64, cfg TwoToneConfig
 	}
 	iFund := mathx.ToneAmplitude(x, cfg.F1, fs)
 	iIM3 := mathx.ToneAmplitude(x, 2*cfg.F1-cfg.F2, fs)
-	// Tone power delivered to the load: P = I^2 R / 2 for amplitude I.
+	// Tone power delivered to the 50-ohm load: P = I^2 R / 2 for amplitude I.
 	toDBm := func(iamp float64) float64 {
-		p := iamp * iamp * cfg.LoadOhms / 2
+		p := iamp * iamp * 50 / 2
 		if p <= 0 {
 			return math.Inf(-1)
 		}

@@ -23,10 +23,9 @@ import (
 // ErrBadConfig reports an unusable instrument configuration.
 var ErrBadConfig = errors.New("vna: invalid instrument configuration")
 
-// VNA is a synthetic two-port vector network analyzer.
+// VNA is a synthetic two-port vector network analyzer referenced to
+// twoport.Z0Default.
 type VNA struct {
-	// Z0 is the reference impedance (default 50).
-	Z0 float64
 	// SigmaAbs is the additive complex-Gaussian noise standard deviation
 	// applied to each S-parameter (per real/imag part), e.g. 0.002 for a
 	// calibrated instrument.
@@ -37,21 +36,14 @@ type VNA struct {
 
 // NewVNA returns a calibrated instrument with a realistic trace-noise floor.
 func NewVNA(seed int64) *VNA {
-	return &VNA{Z0: twoport.Z0Default, SigmaAbs: 0.002, Seed: seed}
-}
-
-func (v *VNA) z0() float64 {
-	if v.Z0 <= 0 {
-		return twoport.Z0Default
-	}
-	return v.Z0
+	return &VNA{SigmaAbs: 0.002, Seed: seed}
 }
 
 // MeasureDevice sweeps the device at the given bias over freqs and returns
 // the noisy S-parameter network.
 func (v *VNA) MeasureDevice(d *device.PHEMT, b device.Bias, freqs []float64) (*twoport.Network, error) {
 	return v.Measure(freqs, func(f float64) (twoport.Mat2, error) {
-		return d.SAt(b, f, v.z0())
+		return d.SAt(b, f, twoport.Z0Default)
 	})
 }
 
@@ -74,7 +66,7 @@ func (v *VNA) Measure(freqs []float64, s func(f float64) (twoport.Mat2, error)) 
 		}
 		mats[i] = m
 	}
-	return twoport.NewNetwork(v.z0(), freqs, mats)
+	return twoport.NewNetwork(twoport.Z0Default, freqs, mats)
 }
 
 // BiasSet couples one bias point with its measured network.
@@ -108,73 +100,51 @@ type Dataset struct {
 	Z0 float64
 }
 
-// CampaignConfig describes a measurement campaign.
+// CampaignConfig describes a measurement campaign: the fixed measurement
+// plan below, run with the given seed.
 type CampaignConfig struct {
-	// Freqs is the S-parameter frequency grid.
-	Freqs []float64
-	// Biases lists the hot bias points.
-	Biases []device.Bias
-	// ColdVgs is the pinched gate voltage for the cold sweep.
-	ColdVgs float64
-	// ColdOpenVgs is the open-channel gate voltage for the second cold
-	// sweep (well above threshold).
-	ColdOpenVgs float64
-	// VgsGrid and VdsGrid are the DC sweep axes.
-	VgsGrid, VdsGrid []float64
-	// SigmaI is the relative DC current measurement noise (e.g. 0.01).
-	SigmaI float64
 	// Seed drives all instrument noise deterministically.
 	Seed int64
-	// SigmaS overrides the VNA trace noise when positive.
-	SigmaS float64
 	// Observer receives a "vna.campaign" span whose eval count is the
 	// total number of measured points — S-parameter frequency points across
 	// all sweeps plus I-V grid points (nil: disabled).
 	Observer obs.Observer
 }
 
-// DefaultCampaign returns the measurement plan used across the experiments:
-// a 0.5-3 GHz sweep at three bias points plus a cold pinched sweep and a
-// DC I-V grid.
-func DefaultCampaign(seed int64) CampaignConfig {
-	return CampaignConfig{
-		Freqs: mathx.Linspace(0.5e9, 3e9, 21),
-		Biases: []device.Bias{
-			{Vgs: 0.45, Vds: 3},
-			{Vgs: 0.52, Vds: 3},
-			{Vgs: 0.60, Vds: 3},
-		},
-		ColdVgs:     -1.2,
-		ColdOpenVgs: 0.7,
-		VgsGrid:     mathx.Linspace(0.2, 0.8, 13),
-		VdsGrid:     mathx.Linspace(0.2, 4, 11),
-		SigmaI:      0.01,
-		Seed:        seed,
+// The measurement plan used across the experiments: a 0.5-3 GHz sweep at
+// three bias points, two cold sweeps and a DC I-V grid.
+var (
+	campaignFreqs  = mathx.Linspace(0.5e9, 3e9, 21)
+	campaignBiases = []device.Bias{
+		{Vgs: 0.45, Vds: 3},
+		{Vgs: 0.52, Vds: 3},
+		{Vgs: 0.60, Vds: 3},
 	}
+	campaignVgsGrid = mathx.Linspace(0.2, 0.8, 13)
+	campaignVdsGrid = mathx.Linspace(0.2, 4, 11)
+)
+
+// DefaultCampaign returns the campaign configuration for seed.
+func DefaultCampaign(seed int64) CampaignConfig {
+	return CampaignConfig{Seed: seed}
 }
 
 // RunCampaign executes the measurement campaign against the device.
 func RunCampaign(d *device.PHEMT, cfg CampaignConfig) (*Dataset, error) {
-	if len(cfg.Freqs) == 0 || len(cfg.Biases) == 0 {
-		return nil, fmt.Errorf("%w: campaign needs freqs and biases", ErrBadConfig)
-	}
 	_, endSpan := obs.StartSpan(cfg.Observer, "vna.campaign")
 	v := NewVNA(cfg.Seed)
-	if cfg.SigmaS > 0 {
-		v.SigmaAbs = cfg.SigmaS
-	}
-	ds := &Dataset{Z0: v.z0()}
-	for i, b := range cfg.Biases {
+	ds := &Dataset{Z0: twoport.Z0Default}
+	for i, b := range campaignBiases {
 		v.Seed = cfg.Seed + int64(i) + 1
-		net, err := v.MeasureDevice(d, b, cfg.Freqs)
+		net, err := v.MeasureDevice(d, b, campaignFreqs)
 		if err != nil {
 			return nil, err
 		}
 		ds.Hot = append(ds.Hot, BiasSet{Bias: b, Net: net})
 	}
 	v.Seed = cfg.Seed + 1000
-	cold := device.Bias{Vgs: cfg.ColdVgs, Vds: 0}
-	coldNet, err := v.MeasureDevice(d, cold, cfg.Freqs)
+	cold := device.Bias{Vgs: -1.2, Vds: 0} // pinched gate
+	coldNet, err := v.MeasureDevice(d, cold, campaignFreqs)
 	if err != nil {
 		return nil, err
 	}
@@ -182,32 +152,28 @@ func RunCampaign(d *device.PHEMT, cfg CampaignConfig) (*Dataset, error) {
 	ds.ColdPinchedBias = cold
 
 	v.Seed = cfg.Seed + 1001
-	openVgs := cfg.ColdOpenVgs
-	if openVgs == 0 {
-		openVgs = 0.7
-	}
-	open := device.Bias{Vgs: openVgs, Vds: 0}
-	openNet, err := v.MeasureDevice(d, open, cfg.Freqs)
+	open := device.Bias{Vgs: 0.7, Vds: 0} // open channel: gate well above threshold
+	openNet, err := v.MeasureDevice(d, open, campaignFreqs)
 	if err != nil {
 		return nil, err
 	}
 	ds.ColdOpen = openNet
 	ds.ColdOpenBias = open
 
-	// DC grid with relative current noise.
+	// DC grid with 1% relative current noise.
 	rng := rand.New(rand.NewSource(cfg.Seed + 2000))
-	ds.VgsGrid = append([]float64(nil), cfg.VgsGrid...)
-	ds.VdsGrid = append([]float64(nil), cfg.VdsGrid...)
-	ds.IV = make([][]float64, len(cfg.VgsGrid))
-	for i, vgs := range cfg.VgsGrid {
-		ds.IV[i] = make([]float64, len(cfg.VdsGrid))
-		for j, vds := range cfg.VdsGrid {
+	ds.VgsGrid = append([]float64(nil), campaignVgsGrid...)
+	ds.VdsGrid = append([]float64(nil), campaignVdsGrid...)
+	ds.IV = make([][]float64, len(campaignVgsGrid))
+	for i, vgs := range campaignVgsGrid {
+		ds.IV[i] = make([]float64, len(campaignVdsGrid))
+		for j, vds := range campaignVdsGrid {
 			ids := d.DC.Ids(vgs, vds)
-			ds.IV[i][j] = ids * (1 + cfg.SigmaI*rng.NormFloat64())
+			ds.IV[i][j] = ids * (1 + 0.01*rng.NormFloat64())
 		}
 	}
-	sweeps := len(cfg.Biases) + 2 // hot biases + two cold sweeps
-	endSpan(int64(sweeps*len(cfg.Freqs) + len(cfg.VgsGrid)*len(cfg.VdsGrid)))
+	sweeps := len(campaignBiases) + 2 // hot biases + two cold sweeps
+	endSpan(int64(sweeps*len(campaignFreqs) + len(campaignVgsGrid)*len(campaignVdsGrid)))
 	return ds, nil
 }
 

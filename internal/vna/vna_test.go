@@ -69,23 +69,22 @@ func TestMeasureDeterministicPerSeed(t *testing.T) {
 
 func TestRunCampaignShapes(t *testing.T) {
 	d := device.Golden()
-	cfg := DefaultCampaign(3)
-	ds, err := RunCampaign(d, cfg)
+	ds, err := RunCampaign(d, DefaultCampaign(3))
 	if err != nil {
 		t.Fatalf("RunCampaign: %v", err)
 	}
-	if len(ds.Hot) != len(cfg.Biases) {
-		t.Errorf("hot sets = %d, want %d", len(ds.Hot), len(cfg.Biases))
+	if len(ds.Hot) != len(campaignBiases) {
+		t.Errorf("hot sets = %d, want %d", len(ds.Hot), len(campaignBiases))
 	}
-	if ds.ColdPinched == nil || ds.ColdPinched.Len() != len(cfg.Freqs) {
+	if ds.ColdPinched == nil || ds.ColdPinched.Len() != len(campaignFreqs) {
 		t.Error("cold sweep missing or wrong length")
 	}
-	if len(ds.IV) != len(cfg.VgsGrid) || len(ds.IV[0]) != len(cfg.VdsGrid) {
+	if len(ds.IV) != len(campaignVgsGrid) || len(ds.IV[0]) != len(campaignVdsGrid) {
 		t.Error("IV grid shape wrong")
 	}
 	// IV noise is relative: currents near zero stay near zero.
-	for i, vgs := range cfg.VgsGrid {
-		for j, vds := range cfg.VdsGrid {
+	for i, vgs := range campaignVgsGrid {
+		for j, vds := range campaignVdsGrid {
 			truth := d.DC.Ids(vgs, vds)
 			if math.Abs(ds.IV[i][j]-truth) > 0.1*truth+1e-12 {
 				t.Errorf("IV(%g,%g) = %g, truth %g: noise too large", vgs, vds, ds.IV[i][j], truth)
@@ -97,9 +96,6 @@ func TestRunCampaignShapes(t *testing.T) {
 		if g := cmplx.Abs(ds.ColdPinched.S[i][1][0]); g > 1.02 {
 			t.Errorf("cold |S21| = %g, want <= ~1", g)
 		}
-	}
-	if _, err := RunCampaign(d, CampaignConfig{}); err == nil {
-		t.Error("empty campaign accepted")
 	}
 }
 
