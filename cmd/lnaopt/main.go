@@ -24,8 +24,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gnsslna/internal/core"
@@ -36,62 +38,78 @@ import (
 )
 
 func main() {
-	seed := flag.Int64("seed", 1, "deterministic seed")
-	quick := flag.Bool("quick", false, "use reduced optimization budgets")
-	sens := flag.Bool("sens", false, "print the component sensitivity table")
-	yieldN := flag.Int("yield", 0, "run an N-trial Monte Carlo tolerance yield analysis")
-	bom := flag.Bool("bom", false, "design the DC bias network and print the bill of materials")
-	vcc := flag.Float64("vcc", 5, "supply voltage for the bias network")
-	obsFlags := obscli.Register(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the design flow with the report on stdout and
+// returns the process exit code: 0 on success, 1 when the run fails and 2
+// on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lnaopt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Int64("seed", 1, "deterministic seed")
+	quick := fs.Bool("quick", false, "use reduced optimization budgets")
+	sens := fs.Bool("sens", false, "print the component sensitivity table")
+	yieldN := fs.Int("yield", 0, "run an N-trial Monte Carlo tolerance yield analysis")
+	bom := fs.Bool("bom", false, "design the DC bias network and print the bill of materials")
+	vcc := fs.Float64("vcc", 5, "supply voltage for the bias network")
+	obsFlags := obscli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	session, err := obsFlags.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lnaopt:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "lnaopt:", err)
+		return 1
 	}
-	runErr := run(*seed, *quick, *sens, *yieldN, *bom, *vcc, session)
+	runErr := design(stdout, *seed, *quick, *sens, *yieldN, *bom, *vcc, session)
 	if err := session.Close(); err != nil && runErr == nil {
 		runErr = err
 	}
 	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "lnaopt:", runErr)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "lnaopt:", runErr)
+		return 1
 	}
+	return 0
 }
 
-func run(seed int64, quick, sens bool, yieldN int, bom bool, vcc float64, session *obscli.Session) error {
+// design runs the flow and writes its report to w.
+func design(w io.Writer, seed int64, quick, sens bool, yieldN int, bom bool, vcc float64, session *obscli.Session) error {
 	suite := experiments.NewSuite(experiments.Config{
 		Seed: seed, Quick: quick, Observer: session.Observer(),
 		Control: session.Controller(), Checkpoint: session.Checkpoint(), Restarts: session.Restarts(),
 		Workers: session.Workers(),
 	})
-	fmt.Println("extracting pHEMT model from the synthetic measurement campaign...")
+	fmt.Fprintln(w, "extracting pHEMT model from the synthetic measurement campaign...")
 	ex, err := suite.Extracted()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  extracted %s: DC rel RMSE %.2f%%, S RMSE %.4f\n",
+	fmt.Fprintf(w, "  extracted %s: DC rel RMSE %.2f%%, S RMSE %.4f\n",
 		ex.Device.Name, ex.DC.RelRMSE*100, ex.SRMSE)
 
-	fmt.Println("optimizing operating point and passive elements (improved goal attainment)...")
+	fmt.Fprintln(w, "optimizing operating point and passive elements (improved goal attainment)...")
 	res, err := suite.Design()
 	if err != nil {
 		st, ok := resilience.AsStopped(err)
 		if !ok || res == nil {
 			return err
 		}
-		fmt.Printf("  run stopped early (%s): reporting the best design found so far\n", st.Reason)
+		fmt.Fprintf(w, "  run stopped early (%s): reporting the best design found so far\n", st.Reason)
 	}
 	d := res.Snapped
 	e := res.SnappedEval
-	fmt.Printf("  gamma = %.3f (<= 0: all goals met), %d band evaluations\n\n", res.Gamma, res.Evals)
-	fmt.Printf("operating point : Vgs=%.3f V  Vds=%.2f V  Ids=%.1f mA  Pdc=%.0f mW\n",
+	fmt.Fprintf(w, "  gamma = %.3f (<= 0: all goals met), %d band evaluations\n\n", res.Gamma, res.Evals)
+	fmt.Fprintf(w, "operating point : Vgs=%.3f V  Vds=%.2f V  Ids=%.1f mA  Pdc=%.0f mW\n",
 		d.Vgs, d.Vds, e.IdsA*1e3, e.PdcW*1e3)
-	fmt.Printf("elements (E24)  : Lin=%s  Ldeg=%s  Lout=%s  Cout=%s\n",
+	fmt.Fprintf(w, "elements (E24)  : Lin=%s  Ldeg=%s  Lout=%s  Cout=%s\n",
 		units.Format(d.LIn, "H"), units.Format(d.LDegen, "H"),
 		units.Format(d.LOut, "H"), units.Format(d.COut, "F"))
-	fmt.Printf("band 1.15-1.65  : NFmax=%.3f dB  GTmin=%.2f dB  S11<=%.1f dB  S22<=%.1f dB  stab margin=%.3f\n",
+	fmt.Fprintf(w, "band 1.15-1.65  : NFmax=%.3f dB  GTmin=%.2f dB  S11<=%.1f dB  S22<=%.1f dB  stab margin=%.3f\n",
 		e.WorstNFdB, e.MinGTdB, e.WorstS11dB, e.WorstS22dB, e.StabMargin)
 
 	bands := core.GNSSBands()
@@ -103,32 +121,32 @@ func run(seed int64, quick, sens bool, yieldN int, bom bool, vcc float64, sessio
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nper-constellation performance:")
+	fmt.Fprintln(w, "\nper-constellation performance:")
 	for _, b := range bands {
 		m, err := amp.MetricsAt(b.Center, 50)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-12s %.5f GHz  NF=%.3f dB  GT=%.2f dB\n", b.Name, b.Center/1e9, m.NFdB, m.GTdB)
+		fmt.Fprintf(w, "  %-12s %.5f GHz  NF=%.3f dB  GT=%.2f dB\n", b.Name, b.Center/1e9, m.NFdB, m.GTdB)
 	}
 
 	if sens {
-		fmt.Println("\ncomponent sensitivity (+/-5%):")
+		fmt.Fprintln(w, "\ncomponent sensitivity (+/-5%):")
 		entries, err := designer.Sensitivity(d, 0.05)
 		if err != nil {
 			return err
 		}
 		for _, s := range entries {
-			fmt.Printf("  %-8s dNF=%.3f dB  dGT=%.3f dB\n", s.Param, s.DeltaNFdB, s.DeltaGTdB)
+			fmt.Fprintf(w, "  %-8s dNF=%.3f dB  dGT=%.3f dB\n", s.Param, s.DeltaNFdB, s.DeltaGTdB)
 		}
 	}
 	if yieldN > 0 {
-		fmt.Printf("\nMonte Carlo yield (%d trials, 5%% element tolerance):\n", yieldN)
+		fmt.Fprintf(w, "\nMonte Carlo yield (%d trials, 5%% element tolerance):\n", yieldN)
 		rep, err := designer.Yield(d, 0.05, yieldN, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  pass rate %.0f%%  NF 95th percentile %.3f dB  GT 5th percentile %.2f dB\n",
+		fmt.Fprintf(w, "  pass rate %.0f%%  NF 95th percentile %.3f dB  GT 5th percentile %.2f dB\n",
 			rep.PassRate*100, rep.NF95dB, rep.GT5dB)
 	}
 	if bom {
@@ -136,18 +154,18 @@ func run(seed int64, quick, sens bool, yieldN int, bom bool, vcc float64, sessio
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\nbias network from %.1f V supply (nonlinear DC verified):\n", vcc)
-		fmt.Printf("  achieved Vgs=%.3f V Vds=%.2f V Ids=%.1f mA\n",
+		fmt.Fprintf(w, "\nbias network from %.1f V supply (nonlinear DC verified):\n", vcc)
+		fmt.Fprintf(w, "  achieved Vgs=%.3f V Vds=%.2f V Ids=%.1f mA\n",
 			bn.Achieved.Vgs, bn.Achieved.Vds, bn.Achieved.IdsA*1e3)
-		fmt.Println("\nbill of materials:")
+		fmt.Fprintln(w, "\nbill of materials:")
 		for _, l := range designer.BOM(d, bn) {
-			fmt.Printf("  %-4s %-10s %s\n", l.Ref, l.Value, l.Role)
+			fmt.Fprintf(w, "  %-4s %-10s %s\n", l.Ref, l.Value, l.Role)
 		}
 		pu, err := designer.PowerUpCheck(bn, 1e-4)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\npower-up transient (100 us supply ramp): gate peak %.3f V, "+
+		fmt.Fprintf(w, "\npower-up transient (100 us supply ramp): gate peak %.3f V, "+
 			"settled %.3f V (overshoot %.1f%%), drain settles %.2f V\n",
 			pu.GatePeak, pu.GateFinal, pu.OvershootFrac*100, pu.DrainFinal)
 	}

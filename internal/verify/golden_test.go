@@ -189,24 +189,78 @@ func TestGoldenEvaluate(t *testing.T) {
 	lo, hi := core.DesignBounds()
 	var g goldenDoc
 	for k, x := range boxSamples(lo, hi, 24) {
-		label := fmt.Sprintf("eval[%d]", k)
 		ev, err := d.Evaluate(core.DesignFromVector(x))
-		if err != nil {
-			g.line(label, "error")
-			continue
-		}
-		var rows []string
-		toks := structTokens(reflect.ValueOf(ev), "", func(name string, s reflect.Value) {
-			for i := 0; i < s.Len(); i++ {
-				row := fmt.Sprintf("%s.%s[%d]", label, name, i)
-				rows = append(rows, strings.Join(append([]string{row},
-					structTokens(s.Index(i), "", nil)...), " "))
-			}
-		})
-		g.line(label, toks...)
-		g.lines = append(g.lines, rows...)
+		g.evaluation(fmt.Sprintf("eval[%d]", k), ev, err)
 	}
 	checkGolden(t, "evaluate.golden", g.String())
+}
+
+// evaluation writes every field of ev on one line and each in-band point
+// on a line of its own, or a bare error marker.
+func (g *goldenDoc) evaluation(label string, ev core.Evaluation, err error) {
+	if err != nil {
+		g.line(label, "error")
+		return
+	}
+	var rows []string
+	toks := structTokens(reflect.ValueOf(ev), "", func(name string, s reflect.Value) {
+		for i := 0; i < s.Len(); i++ {
+			row := fmt.Sprintf("%s.%s[%d]", label, name, i)
+			rows = append(rows, strings.Join(append([]string{row},
+				structTokens(s.Index(i), "", nil)...), " "))
+		}
+	})
+	g.line(label, toks...)
+	g.lines = append(g.lines, rows...)
+}
+
+// TestGoldenDistributed pins Designer.EvaluateDistributed over the
+// microstrip box: its all-low and all-high corners, the centre and 32
+// seeded interior points, every in-band point included.
+func TestGoldenDistributed(t *testing.T) {
+	skipOffAMD64(t)
+	d := goldenDesigner()
+	lo, hi := core.DistributedBounds()
+	samples := boxSamples(lo, hi, 32)
+	corners := 1 << len(lo)
+	samples = append([][]float64{samples[0], samples[corners-1]}, samples[corners:]...)
+	var g goldenDoc
+	for k, x := range samples {
+		ev, err := d.EvaluateDistributed(core.DistributedFromVector(x))
+		g.evaluation(fmt.Sprintf("dist[%d]", k), ev, err)
+	}
+	checkGolden(t, "distributed.golden", g.String())
+}
+
+// TestGoldenBiasNet pins what `lnaopt -bom` prints about the bias network:
+// the E24 divider and drain resistor DesignBiasNetwork picks, the
+// operating point its nonlinear DC solve lands on, and PowerUpCheck's
+// supply-ramp transient. The corpus is the operating-point box (corners,
+// centre and 24 seeded points) at 5 V and 3.3 V; a design a supply cannot
+// bias records its error text.
+func TestGoldenBiasNet(t *testing.T) {
+	skipOffAMD64(t)
+	d := goldenDesigner()
+	lo, hi := core.DesignBounds()
+	var g goldenDoc
+	for _, vcc := range []float64{5, 3.3} {
+		for k, x := range boxSamples(lo[:2], hi[:2], 24) {
+			label := fmt.Sprintf("bias[%g,%d] Vgs=%s Vds=%s", vcc, k, hexf(x[0]), hexf(x[1]))
+			bn, err := d.DesignBiasNetwork(core.Design{Vgs: x[0], Vds: x[1]}, vcc)
+			if err != nil {
+				g.line(label, append([]string{"error"}, strings.Fields(err.Error())...)...)
+				continue
+			}
+			pu, err := d.PowerUpCheck(bn, 1e-4)
+			if err != nil {
+				g.line(label, append([]string{"powerup-error"}, strings.Fields(err.Error())...)...)
+				continue
+			}
+			toks := structTokens(reflect.ValueOf(bn), "", nil)
+			g.line(label, append(toks, structTokens(reflect.ValueOf(pu), "PowerUp.", nil)...)...)
+		}
+	}
+	checkGolden(t, "biasnet.golden", g.String())
 }
 
 // TestGoldenTwoStage pins TwoStage.MetricsAt for 8 consecutive pairs of
