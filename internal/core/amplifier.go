@@ -98,14 +98,16 @@ type geomCache struct {
 }
 
 // builderGeom is the set of parts every amplifier from one builder setting
-// carries, whatever the design vector: the two bias tees, the R+L
-// stabilizer and the 100 pF DC block both ports use. Each is wrapped in
-// rfpassive.Shared, so the compiled chains of every amplifier built from
-// them compute each part's factor once per frequency. The memo is keyed by
-// the whole Builder value with its memo pointer cleared, so every setting,
-// including any field added later, invalidates it.
+// carries, whatever the design vector and whether its matching is lumped
+// or distributed: the two bias tees, the R+L stabilizer and the DC block
+// both ports use, with the 50-ohm width they sit on. Each part is wrapped
+// in rfpassive.Shared, so the compiled chains of every amplifier built
+// from them compute each part's factor once per frequency. The memo is
+// keyed by the whole Builder value with its memo pointer cleared, so every
+// setting, including any field added later, invalidates it.
 type builderGeom struct {
 	key                 Builder
+	w50                 float64
 	inTee, outTee, stab *rfpassive.Shared
 	dcBlock             *rfpassive.Shared
 	err                 error
@@ -119,7 +121,9 @@ type builderGeom struct {
 // damp the low-frequency gain peak that would otherwise make the stage
 // potentially unstable; in band the feed inductors isolate them from the
 // signal path. stabR and stabL form the R+L shunt stabilizer on the drain
-// side.
+// side. feedL is the bias-feed inductor and feedC the bypass capacitor at
+// its far end, in both tees; dcBlockC is the series DC block at both
+// ports.
 const (
 	gateBiasR  = 3300
 	drainRailR = 10
@@ -127,6 +131,9 @@ const (
 	drainDampR = 12
 	stabR      = 68
 	stabL      = 12e-9
+	feedL      = 68e-9
+	feedC      = 100e-12
+	dcBlockC   = 100e-12
 )
 
 // NewBuilder returns a builder on the default low-loss substrate.
@@ -178,7 +185,7 @@ func (b *Builder) parts() (*builderGeom, error) {
 
 // newBuilderGeom builds the parts for the settings in b. The 50-ohm width
 // (a 100-iteration bisection) and the junction capacitance (two static
-// microstrip fits) are needed only here.
+// microstrip fits) are computed only here.
 func newBuilderGeom(b Builder) *builderGeom {
 	g := &builderGeom{key: b}
 	w50, err := b.Sub.WidthForZ0(50)
@@ -186,10 +193,11 @@ func newBuilderGeom(b Builder) *builderGeom {
 		g.err = err
 		return g
 	}
+	g.w50 = w50
 	cj := rfpassive.Tee{Sub: b.Sub, WMain: w50, WBranch: w50 / 3}.JunctionCapacitance()
 	// Both bias tees share one structure: the feed branch is L(feed) ->
-	// R(damp) -> C(bypass) -> the bias resistor or rail. In band the 68 nH
-	// feed isolates; below the band the damping resistor loads the port
+	// R(damp) -> C(bypass) -> the bias resistor or rail. In band the feed
+	// inductor isolates; below the band the damping resistor loads the port
 	// and stabilizes the stage.
 	biasTee := func(dampR, load float64) *rfpassive.Shared {
 		return rfpassive.NewShared(rfpassive.Tee{
@@ -198,9 +206,9 @@ func newBuilderGeom(b Builder) *builderGeom {
 			WBranch:   w50 / 3,
 			CJunction: cj,
 			Branch: rfpassive.Chain{
-				rfpassive.NewChipInductor(68e-9, rfpassive.Series),
+				rfpassive.NewChipInductor(feedL, rfpassive.Series),
 				rfpassive.NewChipResistor(dampR, rfpassive.Series),
-				rfpassive.NewChipCapacitor(100e-12, rfpassive.Shunt),
+				rfpassive.NewChipCapacitor(feedC, rfpassive.Shunt),
 			},
 			BranchLoad: complex(load, 0),
 		})
@@ -211,7 +219,7 @@ func newBuilderGeom(b Builder) *builderGeom {
 	// device gain peaks) and is lifted out of the way in band by its
 	// inductor; being on the output it costs gain margin, not noise.
 	g.stab = rfpassive.NewShared(rfpassive.StabilizerRL(stabR, stabL))
-	g.dcBlock = rfpassive.NewShared(rfpassive.DCBlock(100e-12))
+	g.dcBlock = rfpassive.NewShared(rfpassive.DCBlock(dcBlockC))
 	return g
 }
 

@@ -89,14 +89,14 @@ func (d *Designer) BOM(x Design, bn BiasNetwork) []BOMLine {
 		{Ref: "L1", Value: units.Format(x.LIn, "H"), Role: "input series match"},
 		{Ref: "L2", Value: units.Format(x.LOut, "H"), Role: "output series match"},
 		{Ref: "L3", Value: units.Format(x.LDegen, "H"), Role: "source degeneration (stub/via)"},
-		{Ref: "L4", Value: units.Format(68e-9, "H"), Role: "gate bias feed"},
-		{Ref: "L5", Value: units.Format(68e-9, "H"), Role: "drain bias feed"},
+		{Ref: "L4", Value: units.Format(feedL, "H"), Role: "gate bias feed"},
+		{Ref: "L5", Value: units.Format(feedL, "H"), Role: "drain bias feed"},
 		{Ref: "L6", Value: units.Format(stabL, "H"), Role: "output stabilizer inductor"},
-		{Ref: "C1", Value: units.Format(100e-12, "F"), Role: "input DC block"},
+		{Ref: "C1", Value: units.Format(dcBlockC, "F"), Role: "input DC block"},
 		{Ref: "C2", Value: units.Format(x.COut, "F"), Role: "output shunt match"},
-		{Ref: "C3", Value: units.Format(100e-12, "F"), Role: "output DC block"},
-		{Ref: "C4", Value: units.Format(100e-12, "F"), Role: "gate feed bypass"},
-		{Ref: "C5", Value: units.Format(100e-12, "F"), Role: "drain feed bypass"},
+		{Ref: "C3", Value: units.Format(dcBlockC, "F"), Role: "output DC block"},
+		{Ref: "C4", Value: units.Format(feedC, "F"), Role: "gate feed bypass"},
+		{Ref: "C5", Value: units.Format(feedC, "F"), Role: "drain feed bypass"},
 		{Ref: "R1", Value: units.Format(bn.R1, "Ohm"), Role: "gate divider (top)"},
 		{Ref: "R2", Value: units.Format(bn.R2, "Ohm"), Role: "gate divider (bottom)"},
 		{Ref: "R3", Value: units.Format(bn.RDrain, "Ohm"), Role: "drain feed"},
@@ -129,9 +129,9 @@ func (d *Designer) PowerUpCheck(bn BiasNetwork, riseTime float64) (PowerUpReport
 	tr.AddV("vcc", "0", mna.RampV(bn.Vcc, riseTime))
 	tr.AddR("vcc", "gate", bn.R1)
 	tr.AddR("gate", "0", bn.R2)
-	tr.AddC("gate", "0", 100e-12) // gate bypass
+	tr.AddC("gate", "0", feedC) // gate bypass
 	tr.AddR("vcc", "drain", bn.RDrain)
-	tr.AddC("drain", "0", 100e-12) // drain bypass
+	tr.AddC("drain", "0", feedC) // drain bypass
 	tr.AddFET(d.Builder.Dev.DC, "gate", "drain", "0")
 	wf, err := tr.Run(5*riseTime, riseTime/200, []string{"gate", "drain"})
 	if err != nil {

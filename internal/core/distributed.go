@@ -61,12 +61,13 @@ func openStub(sub rfpassive.Substrate, wMain, wStub, length float64) rfpassive.T
 }
 
 // BuildDistributed materializes the transmission-line variant of the
-// amplifier.
+// amplifier. Its bias tees, stabilizer and DC blocks are the builder's
+// shared parts, the same ones Build uses.
 func (b *Builder) BuildDistributed(d DistributedDesign) (*Amplifier, error) {
 	if b.Dev == nil {
 		return nil, fmt.Errorf("core: builder has no device")
 	}
-	w50, err := b.Sub.WidthForZ0(50)
+	g, err := b.parts()
 	if err != nil {
 		return nil, fmt.Errorf("core: substrate: %w", err)
 	}
@@ -83,41 +84,18 @@ func (b *Builder) BuildDistributed(d DistributedDesign) (*Amplifier, error) {
 	dev := *b.Dev
 	dev.Ext.Ls += d.LDegen
 
-	inputTee := rfpassive.Tee{
-		Sub:     b.Sub,
-		WMain:   w50,
-		WBranch: w50 / 3,
-		Branch: rfpassive.Chain{
-			rfpassive.NewChipInductor(68e-9, rfpassive.Series),
-			rfpassive.NewChipResistor(gateDampR, rfpassive.Series),
-			rfpassive.NewChipCapacitor(100e-12, rfpassive.Shunt),
-		},
-		BranchLoad: complex(gateBiasR, 0),
-	}
 	input := rfpassive.Chain{
-		rfpassive.DCBlock(100e-12),
+		g.dcBlock,
 		rfpassive.Line{Sub: b.Sub, W: wSeries, Len: d.LenIn, Dispersion: true},
-		openStub(b.Sub, w50, wStub, d.StubIn),
-		inputTee,
-	}
-
-	outputTee := rfpassive.Tee{
-		Sub:     b.Sub,
-		WMain:   w50,
-		WBranch: w50 / 3,
-		Branch: rfpassive.Chain{
-			rfpassive.NewChipInductor(68e-9, rfpassive.Series),
-			rfpassive.NewChipResistor(drainDampR, rfpassive.Series),
-			rfpassive.NewChipCapacitor(100e-12, rfpassive.Shunt),
-		},
-		BranchLoad: complex(drainRailR, 0),
+		openStub(b.Sub, g.w50, wStub, d.StubIn),
+		g.inTee,
 	}
 	output := rfpassive.Chain{
-		rfpassive.StabilizerRL(stabR, stabL),
-		outputTee,
+		g.stab,
+		g.outTee,
 		rfpassive.Line{Sub: b.Sub, W: wSeries, Len: d.LenOut, Dispersion: true},
-		openStub(b.Sub, w50, wStub, d.StubOut),
-		rfpassive.DCBlock(100e-12),
+		openStub(b.Sub, g.w50, wStub, d.StubOut),
+		g.dcBlock,
 	}
 
 	return &Amplifier{
