@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -39,6 +38,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"gnsslna/internal/mathx"
 )
 
 type tenantLoad struct {
@@ -259,26 +260,10 @@ func soakReport(client *http.Client, url string, jobs []soakJob, bound time.Dura
 		sort.Float64s(lats)
 		fmt.Printf("%-10s %9d %9d %9.1f %9.1f %9.1f\n",
 			n, accepted[n], completed[n],
-			rankPercentile(lats, 0.50), rankPercentile(lats, 0.95), rankPercentile(lats, 0.99))
+			mathx.RankPercentile(lats, 0.50), mathx.RankPercentile(lats, 0.95), mathx.RankPercentile(lats, 0.99))
 	}
 	fmt.Printf("fairness %.4f (jain index over completed jobs, %d tenants)\n",
 		jainIndex(names, completed), len(names))
-}
-
-// rankPercentile is the exact nearest-rank percentile of a sorted sample set.
-func rankPercentile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
 }
 
 // jainIndex is Jain's fairness index (sum x)^2 / (n * sum x^2) over the

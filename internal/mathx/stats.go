@@ -57,6 +57,26 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
+// RankPercentile returns the exact nearest-rank q-quantile (q in 0..1) of
+// an already sorted sample set: the smallest sample with at least a
+// fraction q of the set at or below it, or 0 for an empty set. Unlike
+// Percentile it takes a fraction, neither copies nor sorts, and never
+// interpolates, so it always returns one of the samples.
+func RankPercentile(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(q*float64(n))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= n {
+		idx = n - 1
+	}
+	return sorted[idx]
+}
+
 // MinMax returns the minimum and maximum of xs. It panics on an empty slice.
 func MinMax(xs []float64) (min, max float64) {
 	if len(xs) == 0 {

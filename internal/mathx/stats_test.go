@@ -34,6 +34,29 @@ func TestMedianPercentile(t *testing.T) {
 	}
 }
 
+func TestRankPercentile(t *testing.T) {
+	ten := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, tc := range []struct {
+		sorted  []float64
+		q, want float64
+	}{
+		{nil, 0.5, 0},
+		{ten, 0, 1},
+		{ten, 0.10, 1},
+		{ten, 0.5, 5},
+		{ten, 0.95, 10},
+		{ten, 0.99, 10},
+		{ten, 1, 10},
+		{[]float64{3}, 0, 3},
+		{[]float64{3}, 0.5, 3},
+		{[]float64{3}, 1, 3},
+	} {
+		if got := RankPercentile(tc.sorted, tc.q); got != tc.want {
+			t.Errorf("RankPercentile(%v, %g) = %g, want %g", tc.sorted, tc.q, got, tc.want)
+		}
+	}
+}
+
 func TestMinMaxClamp(t *testing.T) {
 	min, max := MinMax([]float64{3, -1, 7, 0})
 	if min != -1 || max != 7 {

@@ -3,9 +3,10 @@ package replay
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
+
+	"gnsslna/internal/mathx"
 )
 
 // TenantServeStats is one tenant's share of a serve journal: job outcomes,
@@ -156,12 +157,12 @@ func ServeSummary(r *Run) *ServeReport {
 		}
 		sort.Float64s(a.waits)
 		sort.Float64s(a.lats)
-		a.stats.WaitP50 = percentile(a.waits, 0.50)
-		a.stats.WaitP95 = percentile(a.waits, 0.95)
-		a.stats.WaitP99 = percentile(a.waits, 0.99)
-		a.stats.P50 = percentile(a.lats, 0.50)
-		a.stats.P95 = percentile(a.lats, 0.95)
-		a.stats.P99 = percentile(a.lats, 0.99)
+		a.stats.WaitP50 = mathx.RankPercentile(a.waits, 0.50)
+		a.stats.WaitP95 = mathx.RankPercentile(a.waits, 0.95)
+		a.stats.WaitP99 = mathx.RankPercentile(a.waits, 0.99)
+		a.stats.P50 = mathx.RankPercentile(a.lats, 0.50)
+		a.stats.P95 = mathx.RankPercentile(a.lats, 0.95)
+		a.stats.P99 = mathx.RankPercentile(a.lats, 0.99)
 
 		rep.Jobs += a.stats.Jobs
 		rep.Done += a.stats.Done
@@ -183,23 +184,6 @@ func ServeSummary(r *Run) *ServeReport {
 
 // jobRootSpanID mirrors the serve layer's reserved root span ID.
 const jobRootSpanID = 1
-
-// percentile is the exact nearest-rank percentile of an already-sorted
-// sample set (0 when empty — analytics over no data report zeros, not NaN).
-func percentile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
-}
 
 // WriteServeText renders the serve analytics as the `obsreport serve` report:
 // a headline with throughput and outcome counts, then one row per tenant with

@@ -183,17 +183,3 @@ func TestWriteServeText(t *testing.T) {
 		t.Errorf("empty report = %q", empty.String())
 	}
 }
-
-func TestPercentileExact(t *testing.T) {
-	if got := percentile(nil, 0.99); got != 0 {
-		t.Errorf("empty percentile = %g, want 0", got)
-	}
-	s := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	for _, tc := range []struct{ q, want float64 }{
-		{0.50, 5}, {0.95, 10}, {0.99, 10}, {0.10, 1}, {1, 10},
-	} {
-		if got := percentile(s, tc.q); got != tc.want {
-			t.Errorf("p%g = %g, want %g", tc.q*100, got, tc.want)
-		}
-	}
-}
