@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"gnsslna/internal/device"
 	"gnsslna/internal/extract"
@@ -61,14 +60,8 @@ func main() {
 }
 
 func run(model string, seed int64, quick bool, outDir string, session *obscli.Session) error {
-	var dc device.DCModel
-	for _, m := range device.AllModels() {
-		if strings.EqualFold(m.Name(), model) {
-			dc = m
-			break
-		}
-	}
-	if dc == nil {
+	dc, ok := device.ModelByName(model)
+	if !ok {
 		return fmt.Errorf("unknown model %q", model)
 	}
 	var dsExport *vna.Dataset

@@ -9,6 +9,7 @@ package device
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"gnsslna/internal/mathx"
 )
@@ -605,11 +606,11 @@ func AllModels() []DCModel {
 	}
 }
 
-// ModelByName returns a fresh instance of the DC model whose Name is
-// exactly name, and whether one exists.
+// ModelByName returns a fresh instance of the DC model whose Name matches
+// name ignoring case, and whether one exists.
 func ModelByName(name string) (DCModel, bool) {
 	for _, m := range AllModels() {
-		if m.Name() == name {
+		if strings.EqualFold(m.Name(), name) {
 			return m, true
 		}
 	}

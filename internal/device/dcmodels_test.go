@@ -43,6 +43,26 @@ func TestAllModelsBasicPhysics(t *testing.T) {
 	}
 }
 
+func TestModelByName(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"Angelov", "Angelov"},
+		{"angelov", "Angelov"},
+		{"CURTICE-2", "Curtice-2"},
+		{"statz", "Statz"},
+		{"Bogus", ""},
+		{"", ""},
+	} {
+		m, ok := ModelByName(tc.name)
+		got := ""
+		if ok {
+			got = m.Name()
+		}
+		if got != tc.want {
+			t.Errorf("ModelByName(%q) = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestParamsRoundTripAllModels(t *testing.T) {
 	for _, m := range AllModels() {
 		m := m

@@ -134,7 +134,7 @@ func runExtract(ctx context.Context, job *Job, checkpoint string, o obs.Observer
 	if !ok {
 		return nil, fmt.Errorf("extract: unknown model %q", model)
 	}
-	stage := "serve.extract." + model
+	stage := "serve.extract." + dc.Name()
 	seed := jobSeed(job)
 	var doc ExtractResultDoc
 	if ok, err := resilience.RestoreCheckpoint(checkpoint, stage, seed, job.Spec.Quick, &doc); err == nil && ok {
