@@ -263,6 +263,65 @@ func TestGoldenBiasNet(t *testing.T) {
 	checkGolden(t, "biasnet.golden", g.String())
 }
 
+// TestGoldenViews pins the amplifier's public views over the
+// evaluate.golden corpus: Sweep and Network's S over the in-band and
+// stability grids, GroupDelay at three in-band frequencies and NoisyAt's
+// chain and correlation matrices at one in-band and one stability
+// frequency. A call that fails records an error marker.
+func TestGoldenViews(t *testing.T) {
+	skipOffAMD64(t)
+	d := goldenDesigner()
+	band, stab := d.SweepGrids()
+	lo, hi := core.DesignBounds()
+	var g goldenDoc
+	for k, x := range boxSamples(lo, hi, 24) {
+		label := fmt.Sprintf("view[%d]", k)
+		amp, err := d.Builder.Build(core.DesignFromVector(x))
+		if err != nil {
+			g.line(label, "error")
+			continue
+		}
+		for _, grid := range []struct {
+			name  string
+			freqs []float64
+		}{{"band", band}, {"stab", stab}} {
+			row := label + ".sweep." + grid.name
+			if pts, err := amp.Sweep(grid.freqs, 50); err != nil {
+				g.line(row, "error")
+			} else {
+				for i, m := range pts {
+					g.line(fmt.Sprintf("%s[%d]", row, i), pointTokens(m)...)
+				}
+			}
+			row = label + ".network." + grid.name
+			if net, err := amp.Network(grid.freqs, 50); err != nil {
+				g.line(row, "error")
+			} else {
+				for i, f := range net.Freqs {
+					g.line(fmt.Sprintf("%s[%d]", row, i), append([]string{"f=" + hexf(f)}, mat2Tokens("S", net.S[i])...)...)
+				}
+			}
+		}
+		for i, f := range []float64{band[0], band[len(band)/2], band[len(band)-1]} {
+			row := fmt.Sprintf("%s.gd[%d]", label, i)
+			if tg, err := amp.GroupDelay(f, 50, 0); err != nil {
+				g.line(row, "error")
+			} else {
+				g.line(row, "f="+hexf(f), "tg="+hexf(tg))
+			}
+		}
+		for i, f := range []float64{band[len(band)/2], stab[0]} {
+			row := fmt.Sprintf("%s.noisy[%d]", label, i)
+			if tp, err := amp.NoisyAt(f); err != nil {
+				g.line(row, "error")
+			} else {
+				g.line(row, append(append([]string{"f=" + hexf(f)}, mat2Tokens("A", tp.A)...), mat2Tokens("CA", tp.CA)...)...)
+			}
+		}
+	}
+	checkGolden(t, "views.golden", g.String())
+}
+
 // TestGoldenTwoStage pins TwoStage.MetricsAt for 8 consecutive pairs of
 // interior corpus designs on the in-band and stability grids.
 func TestGoldenTwoStage(t *testing.T) {
