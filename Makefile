@@ -34,7 +34,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -count=1 ./internal/obs ./internal/obs/export ./internal/obs/replay ./internal/optim ./internal/resilience ./internal/resilience/chaostest ./internal/core ./internal/extract ./internal/experiments ./internal/serve ./internal/verify ./internal/campaign ./internal/rfpassive
+	$(GO) test -race -count=1 ./cmd/lnaopt ./cmd/sweep ./internal/obs ./internal/obs/export ./internal/obs/replay ./internal/optim ./internal/resilience ./internal/resilience/chaostest ./internal/core ./internal/extract ./internal/experiments ./internal/serve ./internal/verify ./internal/campaign ./internal/rfpassive
 
 # bench-check vets and tests the benchmark module (bench/, its own Go module
 # outside ./...), so a change that breaks an API the benchmark calls fails

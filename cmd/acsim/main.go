@@ -34,7 +34,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: acsim [-s2p out.s2p] <netlist file>")
 		os.Exit(2)
 	}
-	session, err := obsFlags.Start()
+	session, err := obsFlags.Start(os.Stdout, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "acsim:", err)
 		os.Exit(1)

@@ -44,7 +44,7 @@ func main() {
 	obsFlags := obscli.Register(flag.CommandLine)
 	flag.Parse()
 
-	session, err := obsFlags.Start()
+	session, err := obsFlags.Start(os.Stdout, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "extract:", err)
 		os.Exit(1)

@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	session, err := obsFlags.Start()
+	session, err := obsFlags.Start(stdout, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "lnaopt:", err)
 		return 1

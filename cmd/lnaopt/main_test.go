@@ -47,3 +47,22 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsSnapshotOnStdout runs the quick flow with -metrics: the
+// snapshot belongs to the report, so it must land in the writer run was
+// given, after the design.
+func TestMetricsSnapshotOnStdout(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-quick", "-metrics"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("run = %d, stderr:\n%s", code, stderr.String())
+	}
+	out := stdout.String()
+	design := strings.Index(out, "operating point")
+	snap := strings.Index(out, "\nmetrics snapshot:\n")
+	if design < 0 || snap < design {
+		t.Fatalf("stdout has the design at %d and the metrics snapshot at %d, want both, the snapshot last:\n%s", design, snap, out)
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("stderr %q, want empty", stderr.String())
+	}
+}

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gnsslna/internal/experiments"
@@ -22,31 +24,47 @@ import (
 )
 
 func main() {
-	seed := flag.Int64("seed", 1, "deterministic seed")
-	quick := flag.Bool("quick", false, "use reduced optimization budgets")
-	from := flag.Float64("from", 1.0, "sweep start in GHz")
-	to := flag.Float64("to", 1.8, "sweep stop in GHz")
-	points := flag.Int("points", 17, "number of sweep points")
-	s2p := flag.String("s2p", "", "optional Touchstone output path")
-	obsFlags := obscli.Register(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	session, err := obsFlags.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
+// run parses args, runs the sweep with the table on stdout and returns the
+// process exit code: 0 on success, 1 when the run fails and 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Int64("seed", 1, "deterministic seed")
+	quick := fs.Bool("quick", false, "use reduced optimization budgets")
+	from := fs.Float64("from", 1.0, "sweep start in GHz")
+	to := fs.Float64("to", 1.8, "sweep stop in GHz")
+	points := fs.Int("points", 17, "number of sweep points")
+	s2p := fs.String("s2p", "", "optional Touchstone output path")
+	obsFlags := obscli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	runErr := run(*seed, *quick, *from*1e9, *to*1e9, *points, *s2p, session)
+
+	session, err := obsFlags.Start(stdout, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "sweep:", err)
+		return 1
+	}
+	runErr := sweep(stdout, *seed, *quick, *from*1e9, *to*1e9, *points, *s2p, session)
 	if err := session.Close(); err != nil && runErr == nil {
 		runErr = err
 	}
 	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", runErr)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "sweep:", runErr)
+		return 1
 	}
+	return 0
 }
 
-func run(seed int64, quick bool, from, to float64, points int, s2p string, session *obscli.Session) error {
+// sweep designs the amplifier and writes its table to w.
+func sweep(w io.Writer, seed int64, quick bool, from, to float64, points int, s2p string, session *obscli.Session) error {
 	if points < 2 || to <= from {
 		return fmt.Errorf("invalid sweep range")
 	}
@@ -68,7 +86,7 @@ func run(seed int64, quick bool, from, to float64, points int, s2p string, sessi
 		return err
 	}
 	freqs := mathx.Linspace(from, to, points)
-	fmt.Println("f [GHz]   NF [dB]  Fmin [dB]  GT [dB]  S11 [dB]  S22 [dB]      K     mu   tg [ns]")
+	fmt.Fprintln(w, "f [GHz]   NF [dB]  Fmin [dB]  GT [dB]  S11 [dB]  S22 [dB]      K     mu   tg [ns]")
 	for _, f := range freqs {
 		m, err := amp.MetricsAt(f, 50)
 		if err != nil {
@@ -78,7 +96,7 @@ func run(seed int64, quick bool, from, to float64, points int, s2p string, sessi
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%7.4f  %7.3f  %9.3f  %7.2f  %8.1f  %8.1f  %5.2f  %5.3f  %8.3f\n",
+		fmt.Fprintf(w, "%7.4f  %7.3f  %9.3f  %7.2f  %8.1f  %8.1f  %5.2f  %5.3f  %8.3f\n",
 			f/1e9, m.NFdB, m.FminDB, m.GTdB, m.S11dB, m.S22dB, m.K, m.Mu, gd*1e9)
 	}
 	if s2p == "" {
@@ -97,6 +115,6 @@ func run(seed int64, quick bool, from, to float64, points int, s2p string, sessi
 		"gnsslna optimized multi-constellation preamplifier"); err != nil {
 		return err
 	}
-	fmt.Printf("\nwrote %s\n", s2p)
+	fmt.Fprintf(w, "\nwrote %s\n", s2p)
 	return nil
 }

@@ -28,7 +28,7 @@ func startSession(t *testing.T, args ...string) *Session {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	s, err := f.Start()
+	s, err := f.Start(io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestServeBadAddressFailsStart(t *testing.T) {
 	if err := fs.Parse([]string{"-serve", "256.256.256.256:bad"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Start(); err == nil {
+	if _, err := f.Start(io.Discard, io.Discard); err == nil {
 		t.Fatal("bad -serve address accepted")
 	}
 }
