@@ -73,7 +73,9 @@ type Waveform struct {
 var ErrTransientDiverged = errors.New("mna: transient Newton diverged")
 
 // Run integrates from 0 to tEnd with fixed step h and returns the waveform
-// of every requested node.
+// of every requested node. Each call starts from the initial state, with
+// the capacitors discharged and the inductors currentless, so a second run
+// repeats the first.
 func (c *TransientCircuit) Run(tEnd, h float64, watch []string) (map[string]*Waveform, error) {
 	n := len(c.nodeNames)
 	if n == 0 {
@@ -86,6 +88,12 @@ func (c *TransientCircuit) Run(tEnd, h float64, watch []string) (map[string]*Wav
 		if _, ok := c.nodeIndex[w]; !ok {
 			return nil, fmt.Errorf("%w: %q", ErrNoSuchNode, w)
 		}
+	}
+	for k := range c.caps {
+		c.caps[k].vPrev, c.caps[k].iPrev = 0, 0
+	}
+	for k := range c.inds {
+		c.inds[k].vPrev, c.inds[k].iPrev = 0, 0
 	}
 	x := make([]float64, n+len(c.vsources))
 	out := make(map[string]*Waveform, len(watch))

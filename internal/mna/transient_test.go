@@ -29,6 +29,40 @@ func TestTransientRCCharge(t *testing.T) {
 	}
 }
 
+// TestTransientRerunRepeatsFirstRun runs a 5 V step into 1 kOhm/1 uF, and
+// into 1 kOhm/1 mH, twice on one circuit: the second run must start from
+// the discharged capacitor and the currentless inductor again and repeat
+// every sample of the first bit for bit.
+func TestTransientRerunRepeatsFirstRun(t *testing.T) {
+	rc := NewTransient()
+	rc.AddV("in", "0", StepV(5))
+	rc.AddR("in", "out", 1e3)
+	rc.AddC("out", "0", 1e-6)
+	rl := NewTransient()
+	rl.AddV("in", "0", StepV(5))
+	rl.AddR("in", "out", 1e3)
+	rl.AddL("out", "0", 1e-3)
+	for name, c := range map[string]*TransientCircuit{"RC": rc, "RL": rl} {
+		var runs [2]*Waveform
+		for i := range runs {
+			wf, err := c.Run(50e-6, 5e-6, []string{"out"})
+			if err != nil {
+				t.Fatalf("%s run %d: %v", name, i+1, err)
+			}
+			runs[i] = wf["out"]
+		}
+		if len(runs[0].V) != len(runs[1].V) {
+			t.Fatalf("%s: %d samples, then %d", name, len(runs[0].V), len(runs[1].V))
+		}
+		for i := range runs[0].V {
+			if math.Float64bits(runs[0].V[i]) != math.Float64bits(runs[1].V[i]) ||
+				runs[0].Times[i] != runs[1].Times[i] {
+				t.Errorf("%s: t=%g: v = %g on the first run, %g on the second", name, runs[0].Times[i], runs[0].V[i], runs[1].V[i])
+			}
+		}
+	}
+}
+
 func TestTransientRLDecayToStatic(t *testing.T) {
 	// Step into R-L-R divider: at t=0 the inductor blocks; at t=inf it is a
 	// short, so v(out) -> V * R2/(R1+R2).
