@@ -47,31 +47,33 @@ func TestMetricsBandIntoZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestMuBandIntoZeroAllocSteadyState pins the A-only stability scan the
-// same way.
-func TestMuBandIntoZeroAllocSteadyState(t *testing.T) {
+// TestStabilityScanZeroAllocSteadyState pins the A-only stability scan
+// the same way: hoisting the bias state and grading mu at every grid
+// frequency on a warmed workspace allocates nothing.
+func TestStabilityScanZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
 	amp, freqs := allocFixture(t)
 	ws := getBandWorkspace()
 	defer putBandWorkspace(ws)
-	mus := make([]float64, len(freqs))
-	if err := amp.muBandInto(ws, mus, freqs, 50); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if err := amp.muBandInto(ws, mus, freqs, 50); err != nil {
-			t.Fatal(err)
+	scan := func() {
+		ws.bind(amp)
+		for _, f := range freqs {
+			if _, err := ws.muAt(f, 50); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); n != 0 {
-		t.Fatalf("muBandInto steady state allocates %.1f times per pass, want 0", n)
+	}
+	scan()
+	if n := testing.AllocsPerRun(200, scan); n != 0 {
+		t.Fatalf("the stability scan's steady state allocates %.1f times per pass, want 0", n)
 	}
 }
 
 // TestMetricsAtZeroAllocSteadyState pins the per-point views: a warmed
-// Amplifier.MetricsAt and TwoStage.MetricsAt run the band kernel on pooled
-// workspaces whose chains stay compiled, so neither may allocate.
+// Amplifier.MetricsAt and TwoStage.MetricsAt run the per-point path on
+// pooled workspaces whose chains stay compiled, so neither may allocate.
 func TestMetricsAtZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
@@ -183,7 +185,7 @@ func TestTrialStopZeroAlloc(t *testing.T) {
 	ev := Evaluation{WorstNFdB: 0.6, MinGTdB: 15, WorstS11dB: -12, WorstS22dB: -11, StabMargin: -0.1, PdcW: 0.1}
 	tr := trial{exceeds: func(v []float64) bool { return v[0] > 1 }, obj: make([]float64, len(unusable))}
 	if n := testing.AllocsPerRun(200, func() {
-		if !tr.stop(&ev) {
+		if !tr.stop(&ev, 1) {
 			t.Fatal("the check did not stop")
 		}
 	}); n != 0 {

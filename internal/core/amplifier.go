@@ -263,16 +263,12 @@ func (b *Builder) Build(d Design) (*Amplifier, error) {
 	}, nil
 }
 
-// NoisyAt returns the complete amplifier as a noisy two-port at f: a
-// 1-point view of the band kernel on a pooled workspace.
+// NoisyAt returns the complete amplifier as a noisy two-port at f, on a
+// pooled workspace.
 func (a *Amplifier) NoisyAt(f float64) (noise.TwoPort, error) {
 	ws := getBandWorkspace()
 	defer putBandWorkspace(ws)
-	freqs := [1]float64{f}
-	if err := a.noisyBandInto(ws, freqs[:]); err != nil {
-		return noise.TwoPort{}, err
-	}
-	return ws.amp[0], nil
+	return ws.bind(a).noisyAt(f)
 }
 
 // SAt returns the amplifier S-parameters at f referenced to z0.
@@ -300,21 +296,18 @@ type PointMetrics struct {
 	K, Mu float64
 }
 
-// MetricsAt evaluates the amplifier at one frequency, a 1-point view of
-// the band kernel (see band.go).
+// MetricsAt evaluates the amplifier at one frequency.
 func (a *Amplifier) MetricsAt(f, z0 float64) (PointMetrics, error) {
-	tp, err := a.NoisyAt(f)
-	if err != nil {
-		return PointMetrics{}, err
-	}
-	return pointMetricsOf(tp, f, z0)
+	ws := getBandWorkspace()
+	defer putBandWorkspace(ws)
+	return ws.bind(a).metricsAt(f, z0)
 }
 
 // pointMetricsOf reduces a noisy two-port at f to its metric summary.
 func pointMetricsOf(tp noise.TwoPort, f, z0 float64) (PointMetrics, error) {
-	s, err := tp.S(z0)
+	s, err := sOf(tp.A, f, z0)
 	if err != nil {
-		return PointMetrics{}, fmt.Errorf("core: S at %g Hz: %w", f, err)
+		return PointMetrics{}, err
 	}
 	m := PointMetrics{
 		Freq:  f,
@@ -331,7 +324,7 @@ func pointMetricsOf(tp noise.TwoPort, f, z0 float64) (PointMetrics, error) {
 	return m, nil
 }
 
-// Sweep evaluates the amplifier over a frequency list on the band kernel.
+// Sweep evaluates the amplifier over a frequency list.
 func (a *Amplifier) Sweep(freqs []float64, z0 float64) ([]PointMetrics, error) {
 	out := make([]PointMetrics, len(freqs))
 	ws := getBandWorkspace()
@@ -351,15 +344,16 @@ func (a *Amplifier) GroupDelay(f, z0, rel float64) (float64, error) {
 		rel = 1e-4
 	}
 	df := f * rel
-	freqs := [2]float64{f - df, f + df}
-	var s [2]twoport.Mat2
 	ws := getBandWorkspace()
-	err := a.sBandInto(ws, s[:], freqs[:], z0)
-	putBandWorkspace(ws)
+	defer putBandWorkspace(ws)
+	sLo, err := ws.bind(a).sAt(f-df, z0)
 	if err != nil {
 		return 0, err
 	}
-	sLo, sHi := s[0], s[1]
+	sHi, err := ws.sAt(f+df, z0)
+	if err != nil {
+		return 0, err
+	}
 	// Unwrapped phase difference via the quotient avoids 2*pi ambiguities
 	// for small steps.
 	dphi := cmplx.Phase(sHi[1][0] / sLo[1][0])
@@ -371,10 +365,14 @@ func (a *Amplifier) GroupDelay(f, z0, rel float64) (float64, error) {
 func (a *Amplifier) Network(freqs []float64, z0 float64) (*twoport.Network, error) {
 	mats := make([]twoport.Mat2, len(freqs))
 	ws := getBandWorkspace()
-	err := a.sBandInto(ws, mats, freqs, z0)
-	putBandWorkspace(ws)
-	if err != nil {
-		return nil, err
+	defer putBandWorkspace(ws)
+	ws.bind(a)
+	for i, f := range freqs {
+		s, err := ws.sAt(f, z0)
+		if err != nil {
+			return nil, err
+		}
+		mats[i] = s
 	}
 	return twoport.NewNetwork(z0, freqs, mats)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -196,8 +197,8 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
-// TestSingularDeviceErrorsNameFrequency pins the error contract of the band
-// kernel without per-point fallbacks: a device whose intrinsic admittance
+// TestSingularDeviceErrorsNameFrequency pins the error contract of the
+// per-point path: a device whose intrinsic admittance
 // has no Z form (no capacitances, no Ri/Tau, no parasitics) fails Embed at
 // every frequency, and each entry point, the A-only stability scan included,
 // must surface the singular-network error with the failing frequency in Hz.
@@ -232,7 +233,7 @@ func TestSingularDeviceErrorsNameFrequency(t *testing.T) {
 	check("Amplifier.Sweep", err, freqs[0])
 	// Evaluate fails in band before its stability scan runs, so drive the
 	// A-only path directly.
-	err = amp.muBandInto(new(BandWorkspace), make([]float64, len(freqs)), freqs, 50)
+	_, err = new(BandWorkspace).bind(amp).muAt(freqs[0], 50)
 	check("stability scan", err, freqs[0])
 
 	ts, err := b.BuildTwoStage(referenceDesign, referenceDesign)
@@ -241,4 +242,53 @@ func TestSingularDeviceErrorsNameFrequency(t *testing.T) {
 	}
 	_, err = ts.MetricsAt(1.4e9, 50)
 	check("TwoStage.MetricsAt", err, 1.4e9)
+}
+
+// TestMuAtEqualsMetricsMu demands the A-only mu of the stability scan
+// equal (==) the Mu of the noisy path, failing at the same points, for
+// single stages and two-stage cascades of seeded designs at every in-band
+// and stability frequency: the design flows fold one where they would
+// fold the other.
+func TestMuAtEqualsMetricsMu(t *testing.T) {
+	d := NewDesigner(NewBuilder(device.Golden()))
+	band, stab := d.SweepGrids()
+	freqs := append(band, stab...)
+	lo, hi := DesignBounds()
+	rng := rand.New(rand.NewSource(27))
+	draw := func() Design {
+		x := make([]float64, len(lo))
+		for i := range x {
+			x[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
+		}
+		return DesignFromVector(x)
+	}
+	check := func(what string, f float64, metricsAt func(f, z0 float64) (PointMetrics, error), muAt func(f, z0 float64) (float64, error)) {
+		t.Helper()
+		m, errM := metricsAt(f, 50)
+		mu, errU := muAt(f, 50)
+		switch {
+		case (errM == nil) != (errU == nil):
+			t.Errorf("%s at %g Hz: noisy error %v, A-only error %v", what, f, errM, errU)
+		case errM == nil && mu != m.Mu && !(math.IsNaN(mu) && math.IsNaN(m.Mu)):
+			t.Errorf("%s at %g Hz: A-only mu %v, noisy Mu %v", what, f, mu, m.Mu)
+		}
+	}
+	var ws BandWorkspace
+	var sws stageWorkspaces
+	for k := 0; k < 16; k++ {
+		amp, err := d.Builder.Build(draw())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := d.Builder.BuildTwoStage(draw(), draw())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws.bind(amp)
+		sws.bind(ts)
+		for _, f := range freqs {
+			check(fmt.Sprintf("design %d", k), f, ws.metricsAt, ws.muAt)
+			check(fmt.Sprintf("cascade %d", k), f, sws.metricsAt, sws.muAt)
+		}
+	}
 }

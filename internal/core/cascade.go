@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -39,49 +38,66 @@ func (b *Builder) BuildTwoStage(d1, d2 Design) (*TwoStage, error) {
 // alternation.
 type stageWorkspaces struct {
 	first, second BandWorkspace
-	tp            []noise.TwoPort
 }
 
 var stagePool = sync.Pool{New: func() any { return new(stageWorkspaces) }}
 
-// noisyBandInto writes the cascade's noisy two-port at every grid frequency
-// into ws.tp, each stage riding the amplifier band kernel.
-func (t *TwoStage) noisyBandInto(ws *stageWorkspaces, freqs []float64) error {
-	if err := t.First.noisyBandInto(&ws.first, freqs); err != nil {
-		return err
-	}
-	if err := t.Second.noisyBandInto(&ws.second, freqs); err != nil {
-		return err
-	}
-	if cap(ws.tp) < len(freqs) {
-		ws.tp = make([]noise.TwoPort, len(freqs))
-	}
-	ws.tp = ws.tp[:len(freqs)]
-	for i := range freqs {
-		ws.tp[i] = ws.first.amp[i].Cascade(ws.second.amp[i])
-	}
-	return nil
+// bind points the stage workspaces at t's stages.
+func (ws *stageWorkspaces) bind(t *TwoStage) *stageWorkspaces {
+	ws.first.bind(t.First)
+	ws.second.bind(t.Second)
+	return ws
 }
 
-// NoisyAt returns the cascade as a noisy two-port at f, a 1-point view of
-// the band kernel.
-func (t *TwoStage) NoisyAt(f float64) (noise.TwoPort, error) {
-	ws := stagePool.Get().(*stageWorkspaces)
-	defer stagePool.Put(ws)
-	freqs := [1]float64{f}
-	if err := t.noisyBandInto(ws, freqs[:]); err != nil {
+// noisyAt returns the cascade's noisy two-port at f.
+func (ws *stageWorkspaces) noisyAt(f float64) (noise.TwoPort, error) {
+	n1, err := ws.first.noisyAt(f)
+	if err != nil {
 		return noise.TwoPort{}, err
 	}
-	return ws.tp[0], nil
+	n2, err := ws.second.noisyAt(f)
+	if err != nil {
+		return noise.TwoPort{}, err
+	}
+	return n1.Cascade(n2), nil
 }
 
-// MetricsAt evaluates the cascade at one frequency.
-func (t *TwoStage) MetricsAt(f, z0 float64) (PointMetrics, error) {
-	tp, err := t.NoisyAt(f)
+// metricsAt grades the cascade at an in-band frequency.
+func (ws *stageWorkspaces) metricsAt(f, z0 float64) (PointMetrics, error) {
+	tp, err := ws.noisyAt(f)
 	if err != nil {
 		return PointMetrics{}, err
 	}
 	return pointMetricsOf(tp, f, z0)
+}
+
+// muAt returns the cascade's mu at a stability frequency from the A-only
+// product of both stages. noise.TwoPort.Cascade computes A as the same
+// product, so this equals (==) metricsAt's Mu.
+func (ws *stageWorkspaces) muAt(f, z0 float64) (float64, error) {
+	a1, err := ws.first.abcdAt(f)
+	if err != nil {
+		return 0, err
+	}
+	a2, err := ws.second.abcdAt(f)
+	if err != nil {
+		return 0, err
+	}
+	return muOf(a1.Mul(a2), f, z0)
+}
+
+// NoisyAt returns the cascade as a noisy two-port at f.
+func (t *TwoStage) NoisyAt(f float64) (noise.TwoPort, error) {
+	ws := stagePool.Get().(*stageWorkspaces)
+	defer stagePool.Put(ws)
+	return ws.bind(t).noisyAt(f)
+}
+
+// MetricsAt evaluates the cascade at one frequency.
+func (t *TwoStage) MetricsAt(f, z0 float64) (PointMetrics, error) {
+	ws := stagePool.Get().(*stageWorkspaces)
+	defer stagePool.Put(ws)
+	return ws.bind(t).metricsAt(f, z0)
 }
 
 // PowerDissipation returns the combined DC power of both stages.
@@ -117,81 +133,58 @@ type TwoStageResult struct {
 }
 
 // OptimizeTwoStage selects both stages jointly (12 free parameters) with
-// the improved goal-attainment method.
+// the improved goal-attainment method. The objective is bounded like
+// Optimize's (see evaluateTwoStage), with no memo and no fault gate.
 func (d *Designer) OptimizeTwoStage(spec TwoStageSpec, opts *optim.AttainOptions) (TwoStageResult, error) {
 	lo1, hi1 := DesignBounds()
 	lo := append(append([]float64(nil), lo1...), lo1...)
 	hi := append(append([]float64(nil), hi1...), hi1...)
-	// One kernel pass grades the in-band points followed by the stability
-	// scan.
-	grid := spec.points()
-	nBand := len(grid)
-	grid = append(grid, spec.stabPoints()...)
-	// evals is atomic: the optimizer may fan the objective out over workers.
-	var evals atomic.Int64
-
-	evaluate := func(x []float64) (nf, gt, margin, pdc float64, err error) {
-		ts, err := d.Builder.BuildTwoStage(DesignFromVector(x[:6]), DesignFromVector(x[6:]))
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		ws := stagePool.Get().(*stageWorkspaces)
-		defer stagePool.Put(ws)
-		if err := ts.noisyBandInto(ws, grid); err != nil {
-			return 0, 0, 0, 0, err
-		}
-		nf, gt, margin = math.Inf(-1), math.Inf(1), math.Inf(1)
-		for i, f := range grid {
-			m, err := pointMetricsOf(ws.tp[i], f, d.z0())
-			if err != nil {
-				return 0, 0, 0, 0, err
-			}
-			if i < nBand {
-				nf = math.Max(nf, m.NFdB)
-				gt = math.Min(gt, m.GTdB)
-			}
-			margin = math.Min(margin, m.Mu-1)
-		}
-		return nf, gt, margin, ts.PowerDissipation(), nil
-	}
-
-	obj := func(x []float64) []float64 {
-		evals.Add(1)
-		nf, gt, margin, pdc, err := evaluate(x)
-		if err != nil {
-			return []float64{99, 99, 99, 99}
-		}
-		out := []float64{nf, -gt, -margin, pdc}
-		if margin <= 0 {
-			pen := 50 * (0.02 - margin)
-			for i := range out {
-				out[i] += pen
-			}
-		}
-		return out
-	}
+	grid, stabGrid := spec.points(), spec.stabPoints()
 	goals := []optim.Goal{
 		{Name: "NFmax", Target: spec.NFMaxDB, Weight: 0.5},
 		{Name: "GTmin", Target: -spec.GTMinDB, Weight: 1},
 		{Name: "stability", Target: -0.02, Weight: 0.5},
 		{Name: "Pdc", Target: spec.PdcMaxW, Weight: 0.2},
 	}
-	res, err := optim.GoalAttainImproved(obj, goals, lo, hi, opts)
+	// evals is atomic: the optimizer may fan the objective out over workers.
+	var evals atomic.Int64
+	obj := func(x []float64, exceeds func([]float64) bool) []float64 {
+		evals.Add(1)
+		t := trial{exceeds: exceeds, obj: make([]float64, len(goals))}
+		ev, err := d.evaluateTwoStage(x, grid, stabGrid, &t)
+		return t.vector(&ev, err)
+	}
+	res, err := attainBounded(obj, goals, lo, hi, opts)
 	if err != nil {
 		return TwoStageResult{}, fmt.Errorf("core: optimize two-stage: %w", err)
 	}
-	nf, gt, margin, pdc, err := evaluate(res.X)
+	ev, err := d.evaluateTwoStage(res.X, grid, stabGrid, nil)
 	if err != nil {
 		return TwoStageResult{}, err
 	}
 	return TwoStageResult{
 		D1:         DesignFromVector(res.X[:6]),
 		D2:         DesignFromVector(res.X[6:]),
-		WorstNFdB:  nf,
-		MinGTdB:    gt,
-		StabMargin: margin,
-		PdcW:       pdc,
+		WorstNFdB:  ev.WorstNFdB,
+		MinGTdB:    ev.MinGTdB,
+		StabMargin: ev.StabMargin,
+		PdcW:       ev.PdcW,
 		Gamma:      res.Gamma,
 		Evals:      int(evals.Load()),
 	}, nil
+}
+
+// evaluateTwoStage grades the cascade of the two stage designs in x over
+// the grids through the objective loop (grade): the noisy cascade at the
+// in-band points and the A-only mu of both stages on the stability scan.
+// Only the in-band extremes, the stability margin and PdcW are set.
+func (d *Designer) evaluateTwoStage(x, grid, stabGrid []float64, t *trial) (Evaluation, error) {
+	ts, err := d.Builder.BuildTwoStage(DesignFromVector(x[:6]), DesignFromVector(x[6:]))
+	if err != nil {
+		return Evaluation{}, err
+	}
+	ws := stagePool.Get().(*stageWorkspaces)
+	defer stagePool.Put(ws)
+	ws.bind(ts)
+	return grade(ws.metricsAt, ws.muAt, grid, stabGrid, d.z0(), Evaluation{PdcW: ts.PowerDissipation()}, nil, t)
 }

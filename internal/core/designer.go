@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"gnsslna/internal/mathx"
@@ -220,14 +221,16 @@ func (d *Designer) evaluate(x Design, t *trial) (Evaluation, error) {
 
 // unusable is the uniform objective vector of a design that cannot be
 // graded: unbuildable, failing at some frequency, or quarantined by
-// Optimize's fault gate, whose penalty is read from it. It is only read.
+// Optimize's fault gate, whose penalty is read from it. A flow with fewer
+// objectives uses its prefix. It is only read.
 var unusable = [6]float64{99, 99, 99, 99, 99, 99}
 
 // trial is a bounded evaluation: one goal-attainment DE trial. exceeds is
 // the optimizer's stop predicate (nil: never stop) and obj receives the
-// penalized objective vector of the points graded so far. On return,
-// stopped reports whether the evaluation stopped early, with obj holding
-// the vector it stopped on, and computed counts the grid points it graded.
+// penalized objective vector of the points graded so far; its length names
+// the flow (see penalize). On return, stopped reports whether the
+// evaluation stopped early, with obj holding the vector it stopped on, and
+// computed counts the grid points it graded.
 type trial struct {
 	exceeds  func(lower []float64) bool
 	obj      []float64
@@ -235,19 +238,50 @@ type trial struct {
 	computed int
 }
 
-// stop writes the penalized partial vector of ev into t.obj and reports
-// whether the evaluation may stop. Every objective is a running worst case
-// that later points only raise, and the instability penalty only grows as
-// the margin falls, so the partial vector is a componentwise lower bound
-// of the full one; but a later failure would replace the full vector by
-// the unusable one, so exceeds must hold for that too.
-func (t *trial) stop(ev *Evaluation) bool {
-	if t == nil || t.exceeds == nil {
+// stop counts n more graded points, writes the penalized partial vector of
+// ev into t.obj and reports whether the evaluation may stop. Every
+// objective is a running worst case that later points only raise, and the
+// instability penalty only grows as the margin falls, so the partial
+// vector is a componentwise lower bound of the full one; but a later
+// failure would replace the full vector by the unusable one, so exceeds
+// must hold for that too.
+func (t *trial) stop(ev *Evaluation, n int) bool {
+	if t == nil {
 		return false
 	}
-	penalizeInto(t.obj, ev)
-	t.stopped = t.exceeds(t.obj) && t.exceeds(unusable[:])
+	t.computed += n
+	if t.exceeds == nil {
+		return false
+	}
+	t.penalize(ev)
+	t.stopped = t.exceeds(t.obj) && t.exceeds(unusable[:len(t.obj)])
 	return t.stopped
+}
+
+// penalize writes the flow's penalized objective vector of ev into t.obj:
+// the six objectives of Objectives, or the two-stage cascade's four, worst
+// NF, -min GT, -stability margin and Pdc (see penalizeInto).
+func (t *trial) penalize(ev *Evaluation) {
+	if len(t.obj) == len(unusable) {
+		penalizeInto(t.obj, ev)
+		return
+	}
+	var v [len(unusable)]float64
+	penalizeInto(v[:], ev)
+	t.obj[0], t.obj[1], t.obj[2], t.obj[3] = v[0], v[1], v[4], v[5]
+}
+
+// vector returns the objective vector of a graded trial: the vector it
+// stopped on, the penalized vector of the full evaluation ev or, for a
+// design that cannot be graded (err != nil), the unusable vector.
+func (t *trial) vector(ev *Evaluation, err error) []float64 {
+	switch {
+	case err != nil:
+		copy(t.obj, unusable[:])
+	case !t.stopped:
+		t.penalize(ev)
+	}
+	return t.obj
 }
 
 // edgeFirst returns the in-band point graded k-th of n: 0, n-1, 1, n-2, …
@@ -260,68 +294,61 @@ func edgeFirst(k, n int) int {
 	return n - 1 - k/2
 }
 
-// evaluateAmp aggregates the band objectives of an already-built amplifier.
-// It grades the in-band points one at a time on the kernel's per-point
-// path, band edges first, then runs the A-only stability scan. Max and min
-// do not depend on the order, so neither does any value. For a trial t it
-// checks after each in-band point and after the scan whether the trial may
-// stop (trial.stop), and returns an Evaluation without Points when it
-// does.
+// evaluateAmp aggregates the band objectives of an already-built amplifier
+// through the objective loop (grade). A trial that stops leaves the
+// Evaluation without Points.
 func (d *Designer) evaluateAmp(amp *Amplifier, x Design, t *trial) (Evaluation, error) {
 	grid, stabGrid := d.sweepGrids()
-	z0 := d.z0()
-	ev := Evaluation{
-		Design:     x,
-		WorstNFdB:  math.Inf(-1),
-		MinGTdB:    math.Inf(1),
-		WorstS11dB: math.Inf(-1),
-		WorstS22dB: math.Inf(-1),
-		StabMargin: math.Inf(1),
-		IdsA:       amp.Ids(),
-		PdcW:       amp.PowerDissipation(),
-	}
 	ws := getBandWorkspace()
 	defer putBandWorkspace(ws)
-	pts := ws.metricsScratch(amp, len(grid))
-	st := amp.Dev.BandStateAt(amp.Bias)
+	ws.pts = slices.Grow(ws.pts[:0], len(grid))[:len(grid)]
+	ws.bind(amp)
+	ev, err := grade(ws.metricsAt, ws.muAt, grid, stabGrid, d.z0(),
+		Evaluation{Design: x, IdsA: amp.Ids(), PdcW: amp.PowerDissipation()}, ws.pts, t)
+	if err == nil && (t == nil || !t.stopped) {
+		ev.Points = append([]PointMetrics(nil), ws.pts...)
+	}
+	return ev, err
+}
+
+// grade is the objective loop of every design flow. It grades the in-band
+// points one at a time through metricsAt, band edges first, keeping each
+// in pts unless pts is nil, then the stability scan through muAt, and
+// folds them into the in-band extremes and the stability margin of ev. Max
+// and min do not depend on the order, so neither does any value. For a
+// trial t it checks after each in-band point and after the scan whether
+// the trial may stop (trial.stop).
+func grade(metricsAt func(f, z0 float64) (PointMetrics, error), muAt func(f, z0 float64) (float64, error),
+	grid, stabGrid []float64, z0 float64, ev Evaluation, pts []PointMetrics, t *trial) (Evaluation, error) {
+	ev.WorstNFdB, ev.MinGTdB = math.Inf(-1), math.Inf(1)
+	ev.WorstS11dB, ev.WorstS22dB = math.Inf(-1), math.Inf(-1)
+	ev.StabMargin = math.Inf(1)
 	for k := range grid {
 		i := edgeFirst(k, len(grid))
-		p, err := amp.metricsAtState(ws, st, grid[i], z0)
+		p, err := metricsAt(grid[i], z0)
 		if err != nil {
 			return Evaluation{}, err
 		}
-		pts[i] = p
+		if pts != nil {
+			pts[i] = p
+		}
 		ev.WorstNFdB = math.Max(ev.WorstNFdB, p.NFdB)
 		ev.MinGTdB = math.Min(ev.MinGTdB, p.GTdB)
 		ev.WorstS11dB = math.Max(ev.WorstS11dB, p.S11dB)
 		ev.WorstS22dB = math.Max(ev.WorstS22dB, p.S22dB)
 		ev.StabMargin = math.Min(ev.StabMargin, p.Mu-1)
-		if t != nil {
-			t.computed++
-		}
-		if t.stop(&ev) {
+		if t.stop(&ev, 1) {
 			return ev, nil
 		}
 	}
-	if len(stabGrid) > 0 {
-		// The wide stability scan only consumes Mu, which depends on the
-		// chain matrices alone: the A-only band path skips all the
-		// noise-correlation work. Its values equal (==) the kernel's Mu.
-		mus := ws.muScratch(len(stabGrid))
-		if err := amp.muBandInto(ws, mus, stabGrid, z0); err != nil {
+	for _, f := range stabGrid {
+		mu, err := muAt(f, z0)
+		if err != nil {
 			return Evaluation{}, err
 		}
-		for _, mu := range mus {
-			ev.StabMargin = math.Min(ev.StabMargin, mu-1)
-		}
-		if t != nil {
-			t.computed += len(stabGrid)
-		}
-		if t.stop(&ev) {
-			return ev, nil
-		}
+		ev.StabMargin = math.Min(ev.StabMargin, mu-1)
 	}
-	ev.Points = append([]PointMetrics(nil), pts...)
+	t.stop(&ev, len(stabGrid))
 	return ev, nil
 }
 
@@ -344,14 +371,6 @@ func penalizeInto(dst []float64, ev *Evaluation) {
 			dst[i] += pen
 		}
 	}
-}
-
-// penalizeInstability returns the penalized objective vector of ev (see
-// penalizeInto).
-func penalizeInstability(ev Evaluation) []float64 {
-	obj := make([]float64, len(unusable))
-	penalizeInto(obj, &ev)
-	return obj
 }
 
 // goals renders the spec as goal-attainment goals matching Objectives().
@@ -412,14 +431,7 @@ func (d *Designer) Optimize(opts *optim.AttainOptions) (DesignResult, error) {
 			computed.Add(int64(t.computed))
 			full.Add(int64(points))
 		}
-		switch {
-		case err != nil:
-			// Penalize unusable regions uniformly.
-			copy(t.obj, unusable[:])
-		case !t.stopped:
-			penalizeInto(t.obj, &ev)
-		}
-		return t.obj
+		return t.vector(&ev, err)
 	}
 	var o optim.AttainOptions
 	if opts != nil {
@@ -469,8 +481,9 @@ func (d *Designer) Optimize(opts *optim.AttainOptions) (DesignResult, error) {
 	}, stopErr
 }
 
-// attainBounded runs Optimize's goal attainment; tests wrap it to check
-// every bounded call or to run the objective without its bound.
+// attainBounded runs the goal attainment of every design flow; tests wrap
+// it to check every bounded call or to run the objective without its
+// bound.
 var attainBounded = optim.GoalAttainImprovedBounded
 
 // evaluateGuarded is Evaluate with panic containment, for grading points

@@ -109,12 +109,18 @@ func (b *Builder) BuildDistributed(d DistributedDesign) (*Amplifier, error) {
 
 // EvaluateDistributed computes the band evaluation of a distributed design.
 func (d *Designer) EvaluateDistributed(x DistributedDesign) (Evaluation, error) {
+	return d.evaluateDistributed(x, nil)
+}
+
+// evaluateDistributed is EvaluateDistributed for an optional
+// goal-attainment trial t (see evaluateAmp).
+func (d *Designer) evaluateDistributed(x DistributedDesign, t *trial) (Evaluation, error) {
 	d.evals.Add(1)
 	amp, err := d.Builder.BuildDistributed(x)
 	if err != nil {
 		return Evaluation{}, err
 	}
-	return d.evaluateAmp(amp, Design{Vgs: x.Vgs, Vds: x.Vds, LDegen: x.LDegen}, nil)
+	return d.evaluateAmp(amp, Design{Vgs: x.Vgs, Vds: x.Vds, LDegen: x.LDegen}, t)
 }
 
 // DistributedResult reports the distributed-topology optimization.
@@ -130,18 +136,17 @@ type DistributedResult struct {
 }
 
 // OptimizeDistributed selects the operating point and line/stub lengths
-// with the improved goal-attainment method.
+// with the improved goal-attainment method. The objective is bounded like
+// Optimize's, with no memo and no fault gate.
 func (d *Designer) OptimizeDistributed(opts *optim.AttainOptions) (DistributedResult, error) {
 	d.evals.Store(0)
 	lo, hi := DistributedBounds()
-	obj := func(x []float64) []float64 {
-		ev, err := d.EvaluateDistributed(DistributedFromVector(x))
-		if err != nil {
-			return []float64{99, 99, 99, 99, 99, 99}
-		}
-		return penalizeInstability(ev)
+	obj := func(x []float64, exceeds func([]float64) bool) []float64 {
+		t := trial{exceeds: exceeds, obj: make([]float64, len(unusable))}
+		ev, err := d.evaluateDistributed(DistributedFromVector(x), &t)
+		return t.vector(&ev, err)
 	}
-	res, err := optim.GoalAttainImproved(obj, d.goals(), lo, hi, opts)
+	res, err := attainBounded(obj, d.goals(), lo, hi, opts)
 	if err != nil {
 		return DistributedResult{}, fmt.Errorf("core: optimize distributed: %w", err)
 	}

@@ -7,10 +7,10 @@ import (
 	"gnsslna/internal/twoport"
 )
 
-// Band-sweep paths. The bias-dependent small-signal model — four numerical
+// Per-point paths. The bias-dependent small-signal model — four numerical
 // derivatives of the DC model plus the capacitance fits — does not depend on
-// frequency, so BandState hoists it out of the grid loop. NoisyAt is the
-// 1-point view: it derives the state and calls NoisyAtState.
+// frequency, so BandState hoists it out of every frequency loop. NoisyAt is
+// the 1-point view: it derives the state and calls NoisyAtState.
 
 // BandState is the frequency-independent part of the device evaluation at
 // one bias point.
@@ -19,13 +19,16 @@ type BandState struct {
 	SS SmallSignal
 	// Td is the drain noise temperature at the bias current.
 	Td float64
+	// bias is the operating point, named in ABCDAtState's errors.
+	bias Bias
 }
 
 // BandStateAt computes the reusable bias state.
 func (d *PHEMT) BandStateAt(b Bias) BandState {
 	return BandState{
-		SS: d.SmallSignalAt(b),
-		Td: d.Noise.Td(d.Ids(b)),
+		SS:   d.SmallSignalAt(b),
+		Td:   d.Noise.Td(d.Ids(b)),
+		bias: b,
 	}
 }
 
@@ -45,20 +48,6 @@ func (d *PHEMT) pointErr(b Bias, f float64, err error) error {
 	return fmt.Errorf("device %s at (%.2f, %.2f) V, %.3g Hz: %w", d.Name, b.Vgs, b.Vds, f, err)
 }
 
-// NoisyBandInto writes the embedded noisy two-port at each frequency into
-// dst (same length as freqs), computing the bias state once.
-func (d *PHEMT) NoisyBandInto(dst []noise.TwoPort, b Bias, freqs []float64) error {
-	st := d.BandStateAt(b)
-	for i, f := range freqs {
-		tp, err := d.NoisyAtState(st, b, f)
-		if err != nil {
-			return err
-		}
-		dst[i] = tp
-	}
-	return nil
-}
-
 // EmbedABCD returns only the chain matrix of the embedded device:
 // YToABCD of the one embedding sequence (embedY) that Embed runs, so the
 // result is equal (==) to Embed(...).A and it fails exactly where Embed
@@ -73,21 +62,12 @@ func EmbedABCD(yInt twoport.Mat2, ex Extrinsics, f float64) (twoport.Mat2, error
 }
 
 // ABCDAtState returns only the embedded chain matrix at f from a
-// precomputed bias state, equal (==) to NoisyAt(b, f).A.
+// precomputed bias state, equal (==) to NoisyAt(b, f).A; its error names
+// the device, the state's bias and f, as NoisyAtState's does.
 func (d *PHEMT) ABCDAtState(st BandState, f float64) (twoport.Mat2, error) {
-	return EmbedABCD(IntrinsicY(st.SS, f), d.Ext, f)
-}
-
-// ABCDBandInto writes the embedded chain matrix at each frequency into dst
-// (same length as freqs), computing the bias state once.
-func (d *PHEMT) ABCDBandInto(dst []twoport.Mat2, b Bias, freqs []float64) error {
-	st := d.BandStateAt(b)
-	for i, f := range freqs {
-		a, err := d.ABCDAtState(st, f)
-		if err != nil {
-			return d.pointErr(b, f, err)
-		}
-		dst[i] = a
+	a, err := EmbedABCD(IntrinsicY(st.SS, f), d.Ext, f)
+	if err != nil {
+		return twoport.Mat2{}, d.pointErr(st.bias, f, err)
 	}
-	return nil
+	return a, nil
 }

@@ -48,19 +48,17 @@ func BatchChainEquivalence(context string, ch rfpassive.Chain, freqs []float64) 
 // sequence and differ only in the noise bookkeeping, which must not touch A.
 func BatchDeviceEquivalence(context string, dev *device.PHEMT, b device.Bias, freqs []float64) []Violation {
 	var out []Violation
-	abcd := make([]twoport.Mat2, len(freqs))
-	if err := dev.ABCDBandInto(abcd, b, freqs); err != nil {
-		return []Violation{violation("batch-differential", context, 0,
-			"ABCDBandInto failed: %v", err)}
-	}
+	st := dev.BandStateAt(b)
 	for i, f := range freqs {
-		ref, err := dev.NoisyAt(b, f)
-		if err != nil {
-			out = append(out, violation("batch-differential", pointContext(context, freqs, i), 0,
-				"NoisyAt failed: %v", err))
+		ctx := pointContext(context, freqs, i)
+		abcd, errA := dev.ABCDAtState(st, f)
+		ref, errN := dev.NoisyAt(b, f)
+		if errA != nil || errN != nil {
+			out = append(out, violation("batch-differential", ctx, 0,
+				"ABCDAtState error %v, NoisyAt error %v", errA, errN))
 			continue
 		}
-		out = append(out, exactMat2(pointContext(context, freqs, i), "A-only ABCD", abcd[i], ref.A)...)
+		out = append(out, exactMat2(ctx, "A-only ABCD", abcd, ref.A)...)
 	}
 	return out
 }

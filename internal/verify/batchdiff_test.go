@@ -134,7 +134,7 @@ func sameBits(a, b twoport.Mat2) bool {
 }
 
 // TestBatchDeviceEquivalence sweeps the golden pHEMT over a bias grid and
-// demands the A-only ABCDBandInto equal (==) the chain matrix of the noisy
+// demands the A-only ABCDAtState equal (==) the chain matrix of the noisy
 // NoisyAt at every grid frequency.
 func TestBatchDeviceEquivalence(t *testing.T) {
 	dev := device.Golden()
