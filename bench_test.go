@@ -178,8 +178,8 @@ func BenchmarkAmplifierBandEvaluation(b *testing.B) {
 }
 
 func BenchmarkAmplifierEvaluateUncached(b *testing.B) {
-	// The memo-bypassed full evaluation: the honest cost of the batched
-	// stamp-once/solve-many band path (in-band grid plus stability scan).
+	// The memo-bypassed full evaluation: the honest cost of the per-point
+	// path (in-band grid plus stability scan).
 	des := core.NewDesigner(core.NewBuilder(device.Golden()))
 	des.Memo = nil
 	des.Spec.NPoints = 11
@@ -193,7 +193,7 @@ func BenchmarkAmplifierEvaluateUncached(b *testing.B) {
 }
 
 func BenchmarkAmplifierMetricsBand(b *testing.B) {
-	// The band kernel's metrics sweep on a prebuilt amplifier: compiled
+	// MetricsBandInto's per-point sweep on a prebuilt amplifier: compiled
 	// chains and hoisted device state, no designer aggregation on top.
 	amp, err := core.NewBuilder(device.Golden()).Build(
 		core.Design{Vgs: 0.46, Vds: 3, LIn: 5.6e-9, LDegen: 0.5e-9, LOut: 2.2e-9, COut: 0.5e-12})
@@ -340,22 +340,6 @@ func BenchmarkE11TwoStage(b *testing.B) {
 	}
 }
 
-func BenchmarkCMAESRosenbrock(b *testing.B) {
-	lo := []float64{-2, -2}
-	hi := []float64{2, 2}
-	f := func(x []float64) float64 {
-		a := x[1] - x[0]*x[0]
-		c := 1 - x[0]
-		return 100*a*a + c*c
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := optim.CMAES(f, lo, hi, &optim.CMAESOptions{Generations: 200, Seed: int64(i + 1)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Parallel-evaluation variants (Workers = NumCPU) ---
 //
 // The Workers benchmarks drive the same pipelines with the evaluation
@@ -393,23 +377,6 @@ func BenchmarkE5DesignFlowWorkers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSuite(experiments.Config{Seed: 1, Quick: true, Workers: runtime.NumCPU()})
 		if _, err := s.E5DesignFlow(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCMAESRosenbrockWorkers(b *testing.B) {
-	lo := []float64{-2, -2}
-	hi := []float64{2, 2}
-	f := func(x []float64) float64 {
-		a := x[1] - x[0]*x[0]
-		c := 1 - x[0]
-		return 100*a*a + c*c
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		opts := &optim.CMAESOptions{Generations: 200, Seed: int64(i + 1), Workers: runtime.NumCPU()}
-		if _, err := optim.CMAES(f, lo, hi, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

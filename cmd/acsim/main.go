@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/cmplx"
 	"os"
 
@@ -27,29 +29,45 @@ import (
 )
 
 func main() {
-	s2p := flag.String("s2p", "", "optional Touchstone output path")
-	obsFlags := obscli.Register(flag.CommandLine)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: acsim [-s2p out.s2p] <netlist file>")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, simulates the netlist with the table on stdout and
+// returns the process exit code: 0 on success, 1 when the run fails and 2
+// on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("acsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	s2p := fs.String("s2p", "", "optional Touchstone output path")
+	obsFlags := obscli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	session, err := obsFlags.Start(os.Stdout, os.Stderr)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: acsim [-s2p out.s2p] <netlist file>")
+		return 2
+	}
+	session, err := obsFlags.Start(stdout, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "acsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "acsim:", err)
+		return 1
 	}
-	runErr := run(flag.Arg(0), *s2p, session)
+	runErr := simulate(stdout, fs.Arg(0), *s2p, session)
 	if err := session.Close(); err != nil && runErr == nil {
 		runErr = err
 	}
 	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "acsim:", runErr)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "acsim:", runErr)
+		return 1
 	}
+	return 0
 }
 
-func run(path, s2p string, session *obscli.Session) error {
+// simulate runs the netlist at path and writes its table to w.
+func simulate(w io.Writer, path, s2p string, session *obscli.Session) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -60,7 +78,7 @@ func run(path, s2p string, session *obscli.Session) error {
 		return err
 	}
 	if deck.Title != "" {
-		fmt.Printf("* %s\n", deck.Title)
+		fmt.Fprintf(w, "* %s\n", deck.Title)
 	}
 	// One span per solve: the MNA sweep's frequency-point count is the
 	// natural evaluation unit for the journal.
@@ -71,10 +89,10 @@ func run(path, s2p string, session *obscli.Session) error {
 		return err
 	}
 	endSolve(int64(len(net.Freqs)))
-	fmt.Println("f [GHz]    |S11| [dB]   |S21| [dB]   |S12| [dB]   |S22| [dB]")
+	fmt.Fprintln(w, "f [GHz]    |S11| [dB]   |S21| [dB]   |S12| [dB]   |S22| [dB]")
 	for i, fr := range net.Freqs {
 		s := net.S[i]
-		fmt.Printf("%8.4f   %10.2f   %10.2f   %10.2f   %10.2f\n",
+		fmt.Fprintf(w, "%8.4f   %10.2f   %10.2f   %10.2f   %10.2f\n",
 			fr/1e9,
 			mathx.DB20(cmplx.Abs(s[0][0])),
 			mathx.DB20(cmplx.Abs(s[1][0])),
@@ -92,6 +110,6 @@ func run(path, s2p string, session *obscli.Session) error {
 	if err := touchstone.Write(out, net, touchstone.FormatDB, "acsim: "+deck.Title); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", s2p)
+	fmt.Fprintf(w, "wrote %s\n", s2p)
 	return nil
 }

@@ -22,8 +22,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -37,29 +39,45 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "Angelov", "DC model class to extract")
-	seed := flag.Int64("seed", 1, "deterministic seed")
-	quick := flag.Bool("quick", false, "use reduced fitting budgets")
-	outDir := flag.String("out", "", "directory for measured/modeled .s2p exports")
-	obsFlags := obscli.Register(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	session, err := obsFlags.Start(os.Stdout, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "extract:", err)
-		os.Exit(1)
+// run parses args, runs the extraction with the report on stdout and
+// returns the process exit code: 0 on success, 1 when the run fails and 2
+// on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("extract", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "Angelov", "DC model class to extract")
+	seed := fs.Int64("seed", 1, "deterministic seed")
+	quick := fs.Bool("quick", false, "use reduced fitting budgets")
+	outDir := fs.String("out", "", "directory for measured/modeled .s2p exports")
+	obsFlags := obscli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	runErr := run(*model, *seed, *quick, *outDir, session)
+
+	session, err := obsFlags.Start(stdout, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "extract:", err)
+		return 1
+	}
+	runErr := identify(stdout, *model, *seed, *quick, *outDir, session)
 	if err := session.Close(); err != nil && runErr == nil {
 		runErr = err
 	}
 	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "extract:", runErr)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "extract:", runErr)
+		return 1
 	}
+	return 0
 }
 
-func run(model string, seed int64, quick bool, outDir string, session *obscli.Session) error {
+// identify runs the extraction and writes its report to w.
+func identify(w io.Writer, model string, seed int64, quick bool, outDir string, session *obscli.Session) error {
 	dc, ok := device.ModelByName(model)
 	if !ok {
 		return fmt.Errorf("unknown model %q", model)
@@ -79,12 +97,12 @@ func run(model string, seed int64, quick bool, outDir string, session *obscli.Se
 		restored = ok && res.Device != nil
 	}
 	if restored {
-		fmt.Printf("restored completed %s extraction from %s\n", dc.Name(), session.Checkpoint())
+		fmt.Fprintf(w, "restored completed %s extraction from %s\n", dc.Name(), session.Checkpoint())
 		if err := dc.SetParams(res.Device.DC.Params()); err != nil {
 			return err
 		}
 	} else {
-		fmt.Println("running synthetic measurement campaign (VNA + DC analyzer)...")
+		fmt.Fprintln(w, "running synthetic measurement campaign (VNA + DC analyzer)...")
 		campaign := vna.DefaultCampaign(seed)
 		campaign.Observer = session.Observer()
 		ds, err := vna.RunCampaign(device.Golden(), campaign)
@@ -95,7 +113,7 @@ func run(model string, seed int64, quick bool, outDir string, session *obscli.Se
 		if quick {
 			cfg = cfg.Quick()
 		}
-		fmt.Printf("extracting %s (three-step: cold-FET direct + DE + LM)...\n", dc.Name())
+		fmt.Fprintf(w, "extracting %s (three-step: cold-FET direct + DE + LM)...\n", dc.Name())
 		res, err = extract.ThreeStep(ds, dc, cfg)
 		if err != nil {
 			return err
@@ -108,21 +126,21 @@ func run(model string, seed int64, quick bool, outDir string, session *obscli.Se
 		dsExport = ds
 	}
 
-	fmt.Printf("\nstep 1 parasitics: Rg=%.2f Rs=%.2f Rd=%.2f ohm  Lg=%.0f Ls=%.0f Ld=%.0f pH\n",
+	fmt.Fprintf(w, "\nstep 1 parasitics: Rg=%.2f Rs=%.2f Rd=%.2f ohm  Lg=%.0f Ls=%.0f Ld=%.0f pH\n",
 		res.Cold.Ext.Rg, res.Cold.Ext.Rs, res.Cold.Ext.Rd,
 		res.Cold.Ext.Lg*1e12, res.Cold.Ext.Ls*1e12, res.Cold.Ext.Ld*1e12)
-	fmt.Printf("step 2 DC fit    : RMSE %.3f mA (%.2f%% rel) over the I-V grid\n",
+	fmt.Fprintf(w, "step 2 DC fit    : RMSE %.3f mA (%.2f%% rel) over the I-V grid\n",
 		res.DC.RMSE*1e3, res.DC.RelRMSE*100)
-	fmt.Printf("step 2 RF (DE)   : normalized S RMSE %.4f\n", res.SRMSEAfterDE)
-	fmt.Printf("step 3 (LM joint): normalized S RMSE %.4f after %d S evaluations\n",
+	fmt.Fprintf(w, "step 2 RF (DE)   : normalized S RMSE %.4f\n", res.SRMSEAfterDE)
+	fmt.Fprintf(w, "step 3 (LM joint): normalized S RMSE %.4f after %d S evaluations\n",
 		res.SRMSE, res.SEvals)
-	fmt.Printf("\n%s parameters:\n", dc.Name())
+	fmt.Fprintf(w, "\n%s parameters:\n", dc.Name())
 	names := dc.ParamNames()
 	for i, v := range dc.Params() {
-		fmt.Printf("  %-8s %.5g\n", names[i], v)
+		fmt.Fprintf(w, "  %-8s %.5g\n", names[i], v)
 	}
 	d := res.Device
-	fmt.Printf("RF parameters:\n  Cgs0=%.3g pF  CgsPinch=%.3g pF  Cgd0=%.3g pF  Cds=%.3g pF\n"+
+	fmt.Fprintf(w, "RF parameters:\n  Cgs0=%.3g pF  CgsPinch=%.3g pF  Cgd0=%.3g pF  Cds=%.3g pF\n"+
 		"  Ri=%.2f ohm  Tau=%.2f ps  Cpg=%.3g pF  Cpd=%.3g pF\n",
 		d.Caps.Cgs0*1e12, d.Caps.CgsPinch*1e12, d.Caps.Cgd0*1e12, d.Caps.Cds*1e12,
 		d.Ri, d.Tau*1e12, d.Ext.Cpg*1e12, d.Ext.Cpd*1e12)
@@ -168,7 +186,7 @@ func run(model string, seed int64, quick bool, outDir string, session *obscli.Se
 			return err
 		}
 	}
-	fmt.Printf("\nwrote %d Touchstone file pairs to %s\n", len(dsExport.Hot), outDir)
+	fmt.Fprintf(w, "\nwrote %d Touchstone file pairs to %s\n", len(dsExport.Hot), outDir)
 	return nil
 }
 

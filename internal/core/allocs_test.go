@@ -8,8 +8,8 @@ import (
 )
 
 // Allocation fences for the band engine, Build and the evaluation memo: the
-// whole point of the stamp-once/solve-many design is that the steady state
-// runs out of reused slabs and shared parts, so any new allocation on these
+// whole point of the compiled per-point path is that the steady state runs
+// out of a reused workspace and shared parts, so any new allocation on these
 // paths is a performance regression the benchmarks would only show as
 // noise. The band and memo paths are pinned to exactly zero, Build to its
 // seven per-design objects; run under `make verify` (the race pass skips
@@ -26,7 +26,8 @@ func allocFixture(t *testing.T) (*Amplifier, []float64) {
 }
 
 // TestMetricsBandIntoZeroAllocSteadyState pins the warmed band evaluation —
-// compiled chains bound, slabs sized — to zero allocations per grid pass.
+// compiled chains bound, device state hoisted — to zero allocations per
+// grid pass.
 func TestMetricsBandIntoZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")

@@ -102,15 +102,18 @@ type geomCache struct {
 // or distributed: the two bias tees, the R+L stabilizer and the DC block
 // both ports use, with the 50-ohm width they sit on. Each part is wrapped
 // in rfpassive.Shared, so the compiled chains of every amplifier built
-// from them compute each part's factor once per frequency. The memo is
-// keyed by the whole Builder value with its memo pointer cleared, so every
-// setting, including any field added later, invalidates it.
+// from them compute each part's factor once per frequency. It also holds
+// the widths of the distributed matching's lines, wSeries and wStub; their
+// synthesis error is kept in distErr, apart from err, so a lumped Build
+// never fails on it. The memo is keyed by the whole Builder value with its
+// memo pointer cleared, so every setting, including any field added later,
+// invalidates it.
 type builderGeom struct {
 	key                 Builder
-	w50                 float64
+	w50, wSeries, wStub float64
 	inTee, outTee, stab *rfpassive.Shared
 	dcBlock             *rfpassive.Shared
-	err                 error
+	err, distErr        error
 }
 
 // The bias network and stabilizer values every builder uses. gateBiasR is
@@ -183,9 +186,9 @@ func (b *Builder) parts() (*builderGeom, error) {
 	return g, g.err
 }
 
-// newBuilderGeom builds the parts for the settings in b. The 50-ohm width
-// (a 100-iteration bisection) and the junction capacitance (two static
-// microstrip fits) are computed only here.
+// newBuilderGeom builds the parts for the settings in b. The line widths
+// (a 100-iteration bisection each) and the junction capacitance (two
+// static microstrip fits) are computed only here.
 func newBuilderGeom(b Builder) *builderGeom {
 	g := &builderGeom{key: b}
 	w50, err := b.Sub.WidthForZ0(50)
@@ -194,6 +197,13 @@ func newBuilderGeom(b Builder) *builderGeom {
 		return g
 	}
 	g.w50 = w50
+	// Distributed series sections use a narrow high-impedance line (a
+	// distributed inductor, the hi-lo stepped-impedance idiom); stubs a
+	// moderate 70 ohm.
+	g.wSeries, g.distErr = b.Sub.WidthForZ0(90)
+	if g.distErr == nil {
+		g.wStub, g.distErr = b.Sub.WidthForZ0(70)
+	}
 	cj := rfpassive.Tee{Sub: b.Sub, WMain: w50, WBranch: w50 / 3}.JunctionCapacitance()
 	// Both bias tees share one structure: the feed branch is L(feed) ->
 	// R(damp) -> C(bypass) -> the bias resistor or rail. In band the feed

@@ -68,16 +68,9 @@ func (b *Builder) BuildDistributed(d DistributedDesign) (*Amplifier, error) {
 		return nil, fmt.Errorf("core: builder has no device")
 	}
 	g, err := b.parts()
-	if err != nil {
-		return nil, fmt.Errorf("core: substrate: %w", err)
+	if err == nil {
+		err = g.distErr
 	}
-	// Series sections use a narrow high-impedance line (a distributed
-	// inductor, the hi-lo stepped-impedance idiom); stubs a moderate 70 ohm.
-	wSeries, err := b.Sub.WidthForZ0(90)
-	if err != nil {
-		return nil, fmt.Errorf("core: substrate: %w", err)
-	}
-	wStub, err := b.Sub.WidthForZ0(70)
 	if err != nil {
 		return nil, fmt.Errorf("core: substrate: %w", err)
 	}
@@ -86,15 +79,15 @@ func (b *Builder) BuildDistributed(d DistributedDesign) (*Amplifier, error) {
 
 	input := rfpassive.Chain{
 		g.dcBlock,
-		rfpassive.Line{Sub: b.Sub, W: wSeries, Len: d.LenIn, Dispersion: true},
-		openStub(b.Sub, g.w50, wStub, d.StubIn),
+		rfpassive.Line{Sub: b.Sub, W: g.wSeries, Len: d.LenIn, Dispersion: true},
+		openStub(b.Sub, g.w50, g.wStub, d.StubIn),
 		g.inTee,
 	}
 	output := rfpassive.Chain{
 		g.stab,
 		g.outTee,
-		rfpassive.Line{Sub: b.Sub, W: wSeries, Len: d.LenOut, Dispersion: true},
-		openStub(b.Sub, g.w50, wStub, d.StubOut),
+		rfpassive.Line{Sub: b.Sub, W: g.wSeries, Len: d.LenOut, Dispersion: true},
+		openStub(b.Sub, g.w50, g.wStub, d.StubOut),
 		g.dcBlock,
 	}
 

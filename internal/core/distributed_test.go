@@ -45,6 +45,24 @@ func TestBuildDistributedBasics(t *testing.T) {
 	}
 }
 
+// TestDistributedWidthErrorSparesLumpedBuild builds on a substrate that
+// prints a 50-ohm line but no 90-ohm series line: the builder computes the
+// distributed widths for every setting, yet only BuildDistributed may fail
+// on them.
+func TestDistributedWidthErrorSparesLumpedBuild(t *testing.T) {
+	b := NewBuilder(device.Golden())
+	b.Sub.Er = 40
+	if _, err := b.Sub.WidthForZ0(90); err == nil {
+		t.Fatal("the substrate synthesizes a 90-ohm line")
+	}
+	if _, err := b.Build(referenceDesign); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if _, err := b.BuildDistributed(refDistributed); err == nil {
+		t.Fatal("BuildDistributed succeeded without a 90-ohm line")
+	}
+}
+
 func TestDistributedVectorRoundTrip(t *testing.T) {
 	v := refDistributed.Vector()
 	back := DistributedFromVector(v)

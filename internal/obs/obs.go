@@ -71,7 +71,7 @@ func (k EventKind) String() string {
 type Event struct {
 	// Kind classifies the event.
 	Kind EventKind
-	// Scope names the instrumented loop or phase, e.g. "optim.cmaes" or
+	// Scope names the instrumented loop or phase, e.g. "optim.de" or
 	// "extract.step1.coldfet".
 	Scope string
 	// Gen is the generation / iteration ordinal (KindGeneration).

@@ -1,7 +1,7 @@
 // Package optim provides the optimization machinery of the paper's flow:
 // differential evolution, which seeds the extraction and the design, with
-// Nelder-Mead and Levenberg-Marquardt as the direct methods; CMA-ES; and
-// the multi-objective methods — the standard goal-attainment method of
+// Nelder-Mead and Levenberg-Marquardt as the direct methods; and the
+// multi-objective methods — the standard goal-attainment method of
 // Gembicki, the paper's improved goal-attainment variant, a weighted-sum
 // baseline and NSGA-II — plus Pareto-front utilities (dominance filtering,
 // hypervolume, spread).

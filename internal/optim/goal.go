@@ -209,35 +209,47 @@ func goalAttainStandard(ctx context.Context, obj VectorObjective, goals []Goal, 
 		evals.Add(1)
 		return gammaOf(obj(x), goals)
 	}
-	pop := 10 * len(lo)
-	if pop < 20 {
-		pop = 20
+	x, nested, err := dePolish(scalar, lo, hi, o, em.observer(), em.scope)
+	if x == nil {
+		return AttainResult{}, err
 	}
-	gens := o.GlobalEvals / pop
-	if gens < 1 {
-		gens = 1
-	}
+	return attainFinish(obj, goals, lo, hi, o, &em, x, int(evals.Load()), nested, err)
+}
+
+// dePop sizes the DE stage of a goal-attainment run: ten members per
+// dimension (at least 20), for as many generations as globalEvals buys (at
+// least one).
+func dePop(dim, globalEvals int) (pop, gens int) {
+	pop = max(10*dim, 20)
+	return pop, max(globalEvals/pop, 1)
+}
+
+// dePolish minimizes scalar with a DE stage sized by dePop and a
+// Nelder-Mead polish from the DE's best, the two stages emitting through
+// observer under scope+".de" and scope+".nm". nested counts the
+// evaluations the stages report in their own done events. A stop that
+// leaves a usable point returns that point with the stop error; any other
+// error returns a nil point.
+func dePolish(scalar Objective, lo, hi []float64, o AttainOptions, observer obs.Observer, scope string) (x []float64, nested int, err error) {
+	pop, gens := dePop(len(lo), o.GlobalEvals)
 	de, err := DifferentialEvolution(scalar, lo, hi, &DEOptions{
 		Pop: pop, Generations: gens, Seed: o.Seed, Workers: o.Workers,
-		Observer: em.observer(), Scope: em.scope + ".de", Control: o.Control,
+		Observer: observer, Scope: scope + ".de", Control: o.Control,
 	})
-	if err != nil {
-		if _, ok := resilience.AsStopped(err); ok && len(de.X) > 0 {
-			return attainFinish(obj, goals, lo, hi, o, &em, de.X, int(evals.Load()), de.Evals, err)
-		}
-		return AttainResult{}, err
+	x, nested = de.X, de.Evals
+	if err == nil {
+		nm, nmErr := NelderMead(scalar, de.X, &NMOptions{
+			MaxEvals: o.PolishEvals, Scale: 0.02,
+			Observer: observer, Scope: scope + ".nm", Control: o.Control,
+		})
+		x, nested, err = nm.X, nested+nm.Evals, nmErr
 	}
-	nm, err := NelderMead(scalar, de.X, &NMOptions{
-		MaxEvals: o.PolishEvals, Scale: 0.02,
-		Observer: em.observer(), Scope: em.scope + ".nm", Control: o.Control,
-	})
 	if err != nil {
-		if _, ok := resilience.AsStopped(err); ok && len(nm.X) > 0 {
-			return attainFinish(obj, goals, lo, hi, o, &em, nm.X, int(evals.Load()), de.Evals+nm.Evals, err)
+		if _, ok := resilience.AsStopped(err); !ok || len(x) == 0 {
+			return nil, nested, err
 		}
-		return AttainResult{}, err
 	}
-	return attainFinish(obj, goals, lo, hi, o, &em, nm.X, int(evals.Load()), de.Evals+nm.Evals, nil)
+	return x, nested, err
 }
 
 // attainFinish clamps and evaluates the final (possibly best-so-far) design,
@@ -445,14 +457,7 @@ func attainOnce(ctx context.Context, obj attainObjective, goals []Goal, lo, hi [
 			x[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
 		}
 	} else {
-		pop := 10 * len(lo)
-		if pop < 20 {
-			pop = 20
-		}
-		gens := o.GlobalEvals / pop
-		if gens < 1 {
-			gens = 1
-		}
+		pop, gens := dePop(len(lo), o.GlobalEvals)
 		ks5 := func(f []float64) float64 { return ksOf(f, 5) }
 		// Each trial is bounded by its parent's KS value (see stopAbove);
 		// a plain objective evaluates to the end without a predicate.
@@ -515,7 +520,6 @@ func WeightedSum(obj VectorObjective, weights []float64, lo, hi []float64, opts 
 		return AttainResult{}, ErrBadInput
 	}
 	o := opts.defaults()
-	scope := o.scopeOr("optim.wsum")
 	var evals atomic.Int64
 	scalar := func(x []float64) float64 {
 		evals.Add(1)
@@ -526,45 +530,17 @@ func WeightedSum(obj VectorObjective, weights []float64, lo, hi []float64, opts 
 		}
 		return s
 	}
-	pop := 10 * len(lo)
-	if pop < 20 {
-		pop = 20
-	}
-	gens := o.GlobalEvals / pop
-	if gens < 1 {
-		gens = 1
-	}
-	finish := func(xBest []float64, stopErr error) (AttainResult, error) {
-		x := clampBox(xBest, lo, hi)
-		o.Control.AddEvals(1)
-		f := obj(x)
-		// Gamma is deliberately NaN: a scalarization has no attainment
-		// factor, and the sentinel keeps the result shape uniform across
-		// the multi-objective solvers. Callers must test it with
-		// math.IsNaN, never with ==.
-		return AttainResult{X: x, Gamma: math.NaN(), F: f, Evals: int(evals.Load()) + 1}, stopErr
-	}
-	de, err := DifferentialEvolution(scalar, lo, hi, &DEOptions{
-		Pop: pop, Generations: gens, Seed: o.Seed, Workers: o.Workers,
-		Observer: o.Observer, Scope: scope + ".de", Control: o.Control,
-	})
-	if err != nil {
-		if _, ok := resilience.AsStopped(err); ok && len(de.X) > 0 {
-			return finish(de.X, err)
-		}
+	x, _, err := dePolish(scalar, lo, hi, o, o.Observer, o.scopeOr("optim.wsum"))
+	if x == nil {
 		return AttainResult{}, err
 	}
-	nm, err := NelderMead(scalar, de.X, &NMOptions{
-		MaxEvals: o.PolishEvals, Scale: 0.02,
-		Observer: o.Observer, Scope: scope + ".nm", Control: o.Control,
-	})
-	if err != nil {
-		if _, ok := resilience.AsStopped(err); ok && len(nm.X) > 0 {
-			return finish(nm.X, err)
-		}
-		return AttainResult{}, err
-	}
-	return finish(nm.X, nil)
+	x = clampBox(x, lo, hi)
+	o.Control.AddEvals(1)
+	// Gamma is deliberately NaN: a scalarization has no attainment factor,
+	// and the sentinel keeps the result shape uniform across the
+	// multi-objective solvers. Callers must test it with math.IsNaN, never
+	// with ==.
+	return AttainResult{X: x, Gamma: math.NaN(), F: obj(x), Evals: int(evals.Load()) + 1}, err
 }
 
 func clampBox(x, lo, hi []float64) []float64 {

@@ -68,27 +68,17 @@ func TestMetaheuristicsDeterministic(t *testing.T) {
 	}
 }
 
-// TestOptimizerShootout cross-checks every global optimizer on the same
-// multimodal problem with a fixed budget: all must land within a modest
-// factor of the best, which guards against silent regressions in any one of
-// them.
+// TestOptimizerShootout runs the global optimizer on a multimodal problem
+// with a fixed budget: it must land near the global minimum, which guards
+// against a silent regression.
 func TestOptimizerShootout(t *testing.T) {
 	lo := []float64{-5.12, -5.12}
 	hi := []float64{5.12, 5.12}
-	results := map[string]float64{}
-	if r, err := DifferentialEvolution(rastrigin, lo, hi, &DEOptions{Generations: 150, Seed: 9}); err == nil {
-		results["DE"] = r.F
-	} else {
+	r, err := DifferentialEvolution(rastrigin, lo, hi, &DEOptions{Generations: 150, Seed: 9})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r, err := CMAES(rastrigin, lo, hi, &CMAESOptions{Generations: 200, Seed: 9, Lambda: 16}); err == nil {
-		results["CMA-ES"] = r.F
-	} else {
-		t.Fatal(err)
-	}
-	for name, f := range results {
-		if f > 2.5 {
-			t.Errorf("%s stuck at F = %g on 2-D Rastrigin", name, f)
-		}
+	if r.F > 2.5 {
+		t.Errorf("DE stuck at F = %g on 2-D Rastrigin", r.F)
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 // Default event scopes for the instrumented optimizers.
 const (
-	scopeCMAES  = "optim.cmaes"
 	scopeDE     = "optim.de"
 	scopeNSGA2  = "optim.nsga2"
 	scopeLM     = "optim.lm"

@@ -131,29 +131,6 @@ func TestDEBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestCMAESBitIdenticalAcrossWorkers(t *testing.T) {
-	lo, hi := []float64{-2, -2}, []float64{2, 2}
-	run := func(workers int) (Result, int64) {
-		tally := &doneEvals{}
-		res, err := CMAES(rosenbrock, lo, hi, &CMAESOptions{
-			Generations: 80, Seed: 7, Workers: workers,
-			Observer: obs.Func(tally.Observe),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, tally.total
-	}
-	serial, serialEvals := run(1)
-	for _, w := range workerCounts() {
-		par, parEvals := run(w)
-		samePoolResult(t, "CMA-ES", serial, par, w)
-		if parEvals != serialEvals {
-			t.Fatalf("CMA-ES: Workers=%d journaled evals %d != serial %d", w, parEvals, serialEvals)
-		}
-	}
-}
-
 func TestNSGA2BitIdenticalAcrossWorkers(t *testing.T) {
 	obj := func(x []float64) []float64 {
 		d := x[0] - 2

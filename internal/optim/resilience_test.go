@@ -34,10 +34,6 @@ func stopCases() []stopCase {
 			r, err := DifferentialEvolution(sphere, lo, hi, &DEOptions{Pop: 20, Generations: 50, Control: ctrl})
 			return r.X, err
 		}},
-		{"cmaes", func(ctrl *resilience.RunController) ([]float64, error) {
-			r, err := CMAES(sphere, lo, hi, &CMAESOptions{Generations: 50, Control: ctrl})
-			return r.X, err
-		}},
 		{"nm", func(ctrl *resilience.RunController) ([]float64, error) {
 			r, err := NelderMead(sphere, x0, &NMOptions{MaxEvals: 2000, Control: ctrl})
 			return r.X, err

@@ -6,13 +6,13 @@ import (
 	"gnsslna/internal/twoport"
 )
 
-// CompiledChain is a Chain lowered to a flat recipe for grid-batched
-// evaluation. Compilation classifies each element once: the lumped chip
-// models, tees and shunt branches all reduce to an elementary series-Z or
-// shunt-Y factor per frequency, which the band loop applies with the
-// specialized noise.CascadeSeries/CascadeShunt ops instead of the generic
-// 2x2 cascade-plus-congruence. Anything else (nested Chains, foreign
-// Element implementations) keeps the generic per-point path. A *Shared
+// CompiledChain is a Chain lowered to a flat recipe for fast evaluation at
+// one frequency at a time. Compilation classifies each element once: the
+// lumped chip models, tees and shunt branches all reduce to an elementary
+// series-Z or shunt-Y factor per frequency, which NoisyAt and ABCDAt apply
+// with the specialized noise.CascadeSeries/CascadeShunt ops instead of the
+// generic 2x2 cascade-plus-congruence. Anything else (nested Chains,
+// foreign Element implementations) keeps the generic path. A *Shared
 // element compiles to its inner element's step and reads that factor from
 // the shared per-frequency table, computing it only on a miss.
 //
@@ -52,7 +52,7 @@ type chainStep struct {
 	shared *Shared
 }
 
-// CompileChain lowers ch to its batched form. The Chain itself is not
+// CompileChain lowers ch to its compiled form. The Chain itself is not
 // retained; re-compile after mutating element parameters.
 func CompileChain(ch Chain) *CompiledChain {
 	cc := new(CompiledChain)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strconv"
 	"sync/atomic"
@@ -312,18 +311,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, apiError{Error: fmt.Sprintf("job %s is %s, not succeeded", id, j.State)})
 		return
 	}
-	data, err := s.store.ReadResult(id)
-	if err != nil {
-		if os.IsNotExist(err) && j.Result != nil {
-			// The journal carries the result even if the artifact vanished.
-			data = j.Result
-		} else if err != nil {
-			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-			return
-		}
-	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(data)
+	_, _ = w.Write(j.Result)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -7,9 +7,10 @@ import (
 )
 
 // Store is the filesystem artifact store: one directory per job holding its
-// resilience checkpoints, run journal and result document, plus a
-// dead-letter area quarantined jobs are moved into with everything they
-// wrote — the forensic record a poisoned job leaves behind.
+// resilience checkpoints and run journal, plus a dead-letter area
+// quarantined jobs are moved into with everything they wrote — the
+// forensic record a poisoned job leaves behind. A succeeded job's result
+// is not stored here: the queue journals it in the job's state record.
 type Store struct {
 	root string
 }
@@ -39,43 +40,6 @@ func (s *Store) JobDir(id string) (string, error) {
 		return "", fmt.Errorf("serve: job dir: %w", err)
 	}
 	return d, nil
-}
-
-// WriteResult atomically persists the job's result document
-// (temp-file+rename, same discipline as the checkpoints). Each call writes
-// through a temp file of its own, so two writers storing the same job's
-// result (a drained worker finishing while a restarted server resumes the
-// job) cannot rename each other's file away; the last rename wins.
-func (s *Store) WriteResult(id string, result []byte) error {
-	d, err := s.JobDir(id)
-	if err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(d, "result.json.*.tmp")
-	if err != nil {
-		return fmt.Errorf("serve: write result: %w", err)
-	}
-	tmp := f.Name()
-	_, err = f.Write(result)
-	if err == nil {
-		err = f.Chmod(0o644)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(d, "result.json"))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: write result: %w", err)
-	}
-	return nil
-}
-
-// ReadResult returns the persisted result document.
-func (s *Store) ReadResult(id string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(s.jobsDir(), id, "result.json"))
 }
 
 // DeadLetterCount returns the number of quarantined jobs resting in the

@@ -216,12 +216,6 @@ func (f *Fleet) execute(fleetCtx context.Context, job *Job, worker int) {
 		if result == nil {
 			result = json.RawMessage(`{}`)
 		}
-		if err := f.store.WriteResult(job.ID, result); err != nil {
-			done, _ = f.q.Fail(job.ID, err.Error())
-			emitJobDone(f.opts.Observer, done)
-			m.inc("jobs.failed", tenant)
-			return
-		}
 		done, _ = f.q.Complete(job.ID, result)
 		m.inc("jobs.succeeded", tenant)
 	case isPoison(runErr):

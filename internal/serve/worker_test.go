@@ -79,10 +79,8 @@ func TestFleetRunsJobToSuccess(t *testing.T) {
 	if done.State != StateSucceeded {
 		t.Fatalf("state = %s (%s), want succeeded", done.State, done.Error)
 	}
-	// The result artifact landed in the store as well as the journal.
-	data, err := h.store.ReadResult(j.ID)
-	if err != nil || string(data) != `{"gamma":-0.123}` {
-		t.Fatalf("stored result = %q err=%v", data, err)
+	if string(done.Result) != `{"gamma":-0.123}` {
+		t.Fatalf("journaled result = %q", done.Result)
 	}
 }
 

@@ -25,9 +25,9 @@ func exactMat2(context, name string, a, b twoport.Mat2) []Violation {
 		name, name, twoport.MaxAbsDiff(a, b))}
 }
 
-// BatchChainEquivalence compiles the chain and demands the batched noisy
-// two-port and chain matrix equal (==) the per-point Chain.Noisy/ABCD at
-// every frequency.
+// BatchChainEquivalence compiles the chain and demands the compiled noisy
+// two-port and chain matrix (NoisyAt, ABCDAt) equal (==) the generic
+// Chain.Noisy/ABCD at every frequency.
 func BatchChainEquivalence(context string, ch rfpassive.Chain, freqs []float64) []Violation {
 	var out []Violation
 	cc := rfpassive.CompileChain(ch)
