@@ -278,7 +278,10 @@ func (b *Builder) Build(d Design) (*Amplifier, error) {
 func (a *Amplifier) NoisyAt(f float64) (noise.TwoPort, error) {
 	ws := getBandWorkspace()
 	defer putBandWorkspace(ws)
-	return ws.bind(a).noisyAt(f)
+	if err := ws.bind(a).noisyAt(&ws.tp, f); err != nil {
+		return noise.TwoPort{}, err
+	}
+	return ws.tp, nil
 }
 
 // SAt returns the amplifier S-parameters at f referenced to z0.
@@ -314,7 +317,7 @@ func (a *Amplifier) MetricsAt(f, z0 float64) (PointMetrics, error) {
 }
 
 // pointMetricsOf reduces a noisy two-port at f to its metric summary.
-func pointMetricsOf(tp noise.TwoPort, f, z0 float64) (PointMetrics, error) {
+func pointMetricsOf(tp *noise.TwoPort, f, z0 float64) (PointMetrics, error) {
 	s, err := sOf(tp.A, f, z0)
 	if err != nil {
 		return PointMetrics{}, err

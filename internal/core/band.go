@@ -28,6 +28,9 @@ type BandWorkspace struct {
 	ccIn, ccOut rfpassive.CompiledChain
 	st          device.BandState
 
+	// tp is the in-band point's noisy two-port and out the output chain's,
+	// written in place so no per-point temporary is built.
+	tp, out noise.TwoPort
 	// pts is Designer.evaluateAmp's in-band metrics scratch.
 	pts []PointMetrics
 }
@@ -49,52 +52,59 @@ func (ws *BandWorkspace) bind(a *Amplifier) *BandWorkspace {
 	return ws
 }
 
-// noisyAt returns the amplifier's noisy two-port at f: the embedded device
-// between the compiled input and output chains.
-func (ws *BandWorkspace) noisyAt(f float64) (noise.TwoPort, error) {
+// noisyAt writes the amplifier's noisy two-port at f into dst: the
+// compiled input chain, joined in place with the embedded device and then
+// with the compiled output chain (ws.out). dst must not be ws.out.
+func (ws *BandWorkspace) noisyAt(dst *noise.TwoPort, f float64) error {
 	a := ws.forAmp
 	dev, err := a.Dev.NoisyAtState(ws.st, a.Bias, f)
 	if err != nil {
-		return noise.TwoPort{}, err
+		return err
 	}
-	return ws.ccIn.NoisyAt(f).Cascade(dev).Cascade(ws.ccOut.NoisyAt(f)), nil
+	ws.ccIn.NoisyAt(dst, f)
+	dst.CascadeWith(&dev)
+	ws.ccOut.NoisyAt(&ws.out, f)
+	dst.CascadeWith(&ws.out)
+	return nil
 }
 
-// abcdAt returns only the chain matrix of noisyAt(f), equal (==) to its A:
-// S (hence mu) depends on the chain matrices alone, so the stability scan
-// skips the noise-correlation congruences, most of noisyAt's cost. It
-// fails exactly where noisyAt does.
-func (ws *BandWorkspace) abcdAt(f float64) (twoport.Mat2, error) {
+// abcdAt writes only the chain matrix of noisyAt(f) into dst, equal (==)
+// to its A: S (hence mu) depends on the chain matrices alone, so the
+// stability scan skips the noise-correlation congruences, most of
+// noisyAt's cost. It fails exactly where noisyAt does.
+func (ws *BandWorkspace) abcdAt(dst *twoport.Mat2, f float64) error {
 	aDev, err := ws.forAmp.Dev.ABCDAtState(ws.st, f)
 	if err != nil {
-		return twoport.Mat2{}, err
+		return err
 	}
-	return ws.ccIn.ABCDAt(f).Mul(aDev).Mul(ws.ccOut.ABCDAt(f)), nil
+	var out twoport.Mat2
+	ws.ccIn.ABCDAt(dst, f)
+	ws.ccOut.ABCDAt(&out, f)
+	*dst = dst.Mul(aDev).Mul(out)
+	return nil
 }
 
 // metricsAt grades the amplifier at an in-band frequency.
 func (ws *BandWorkspace) metricsAt(f, z0 float64) (PointMetrics, error) {
-	tp, err := ws.noisyAt(f)
-	if err != nil {
+	if err := ws.noisyAt(&ws.tp, f); err != nil {
 		return PointMetrics{}, err
 	}
-	return pointMetricsOf(tp, f, z0)
+	return pointMetricsOf(&ws.tp, f, z0)
 }
 
 // sAt returns the amplifier's S-parameters at f.
 func (ws *BandWorkspace) sAt(f, z0 float64) (twoport.Mat2, error) {
-	tp, err := ws.noisyAt(f)
-	if err != nil {
+	if err := ws.noisyAt(&ws.tp, f); err != nil {
 		return twoport.Mat2{}, err
 	}
-	return sOf(tp.A, f, z0)
+	return sOf(ws.tp.A, f, z0)
 }
 
 // muAt returns the mu source-stability factor at a stability frequency on
 // the A-only path, equal (==) to metricsAt's Mu.
 func (ws *BandWorkspace) muAt(f, z0 float64) (float64, error) {
-	a, err := ws.abcdAt(f)
-	if err != nil {
+	var a twoport.Mat2
+	if err := ws.abcdAt(&a, f); err != nil {
 		return 0, err
 	}
 	return muOf(a, f, z0)

@@ -7,6 +7,7 @@ import (
 
 	"gnsslna/internal/noise"
 	"gnsslna/internal/optim"
+	"gnsslna/internal/twoport"
 )
 
 // TwoStage is a cascade of two single-stage amplifiers sharing the same
@@ -49,23 +50,25 @@ func (ws *stageWorkspaces) bind(t *TwoStage) *stageWorkspaces {
 	return ws
 }
 
-// noisyAt returns the cascade's noisy two-port at f.
-func (ws *stageWorkspaces) noisyAt(f float64) (noise.TwoPort, error) {
-	n1, err := ws.first.noisyAt(f)
-	if err != nil {
-		return noise.TwoPort{}, err
+// noisyAt writes the cascade's noisy two-port at f into dst, joining the
+// second stage (its workspace's tp) in place. dst must belong to neither
+// stage's workspace except as the first stage's tp.
+func (ws *stageWorkspaces) noisyAt(dst *noise.TwoPort, f float64) error {
+	if err := ws.first.noisyAt(dst, f); err != nil {
+		return err
 	}
-	n2, err := ws.second.noisyAt(f)
-	if err != nil {
-		return noise.TwoPort{}, err
+	n2 := &ws.second.tp
+	if err := ws.second.noisyAt(n2, f); err != nil {
+		return err
 	}
-	return n1.Cascade(n2), nil
+	dst.CascadeWith(n2)
+	return nil
 }
 
 // metricsAt grades the cascade at an in-band frequency.
 func (ws *stageWorkspaces) metricsAt(f, z0 float64) (PointMetrics, error) {
-	tp, err := ws.noisyAt(f)
-	if err != nil {
+	tp := &ws.first.tp
+	if err := ws.noisyAt(tp, f); err != nil {
 		return PointMetrics{}, err
 	}
 	return pointMetricsOf(tp, f, z0)
@@ -75,12 +78,11 @@ func (ws *stageWorkspaces) metricsAt(f, z0 float64) (PointMetrics, error) {
 // product of both stages. noise.TwoPort.Cascade computes A as the same
 // product, so this equals (==) metricsAt's Mu.
 func (ws *stageWorkspaces) muAt(f, z0 float64) (float64, error) {
-	a1, err := ws.first.abcdAt(f)
-	if err != nil {
+	var a1, a2 twoport.Mat2
+	if err := ws.first.abcdAt(&a1, f); err != nil {
 		return 0, err
 	}
-	a2, err := ws.second.abcdAt(f)
-	if err != nil {
+	if err := ws.second.abcdAt(&a2, f); err != nil {
 		return 0, err
 	}
 	return muOf(a1.Mul(a2), f, z0)
@@ -90,7 +92,11 @@ func (ws *stageWorkspaces) muAt(f, z0 float64) (float64, error) {
 func (t *TwoStage) NoisyAt(f float64) (noise.TwoPort, error) {
 	ws := stagePool.Get().(*stageWorkspaces)
 	defer stagePool.Put(ws)
-	return ws.bind(t).noisyAt(f)
+	tp := &ws.first.tp
+	if err := ws.bind(t).noisyAt(tp, f); err != nil {
+		return noise.TwoPort{}, err
+	}
+	return *tp, nil
 }
 
 // MetricsAt evaluates the cascade at one frequency.

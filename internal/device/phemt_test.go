@@ -115,6 +115,43 @@ func TestNoiseGainTradeoffWithBias(t *testing.T) {
 	}
 }
 
+// TestIntrinsicNoisyYMatchesIntrinsicY pins the admittance IntrinsicNoisyY
+// assembles from its own terms to IntrinsicY bit for bit, over the golden
+// device's bias grid and frequencies that include 0, +Inf and NaN, and
+// over small-signal models with zero, huge and non-finite elements.
+func TestIntrinsicNoisyYMatchesIntrinsicY(t *testing.T) {
+	d := Golden()
+	models := []SmallSignal{{}, {Gm: 1e300, Cgs: 1e300, Ri: 1e300, Tau: 1e-300}}
+	for _, vgs := range []float64{0.3, 0.45, 0.56, 0.7} {
+		for _, vds := range []float64{0.5, 3} {
+			models = append(models, d.SmallSignalAt(Bias{Vgs: vgs, Vds: vds}))
+		}
+	}
+	for _, edit := range []func(*SmallSignal){
+		func(ss *SmallSignal) { ss.Cgs = math.Inf(1) },
+		func(ss *SmallSignal) { ss.Tau = math.NaN() },
+		func(ss *SmallSignal) { ss.Ri = -math.Inf(1) },
+	} {
+		ss := d.SmallSignalAt(biasOn)
+		edit(&ss)
+		models = append(models, ss)
+	}
+	freqs := []float64{0, math.Copysign(0, -1), 1, 1.2e9, 1.575e9, 40e9, 1e30, math.Inf(1), math.NaN()}
+	for _, ss := range models {
+		for _, f := range freqs {
+			want := IntrinsicY(ss, f)
+			got, _ := IntrinsicNoisyY(ss, f, d.Noise.Tg, 1500)
+			for i := 0; i < 2; i++ {
+				for j := 0; j < 2; j++ {
+					if !sameBits(got[i][j], want[i][j]) {
+						t.Errorf("%+v at %v Hz: Y%d%d %v, IntrinsicY %v", ss, f, i+1, j+1, got[i][j], want[i][j])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPospieszalskiAgainstClosedForm(t *testing.T) {
 	// For the bare intrinsic device with Tau = 0 and Cgd = 0, Pospieszalski
 	// gives closed-form noise parameters; the correlation-matrix pipeline

@@ -64,13 +64,19 @@ func IntrinsicY(ss SmallSignal, f float64) twoport.Mat2 {
 
 // IntrinsicNoisyY returns the intrinsic admittance matrix together with its
 // Pospieszalski noise correlation matrix (normalized to 4kT0) for gate
-// temperature tg and drain temperature td (kelvin).
+// temperature tg and drain temperature td (kelvin). y is IntrinsicY(ss, f),
+// assembled from the same terms by the same expressions, so the noise
+// terms and y share one exponential and one pair of divisions.
 func IntrinsicNoisyY(ss SmallSignal, f, tg, td float64) (y, cy twoport.Mat2) {
 	w := 2 * math.Pi * f
 	d := complex(1, w*ss.Cgs*ss.Ri)
 	ygs := complex(0, w*ss.Cgs) / d
+	ygd := complex(0, w*ss.Cgd)
 	ym := complex(ss.Gm, 0) * cmplx.Exp(complex(0, -w*ss.Tau)) / d
-	y = IntrinsicY(ss, f)
+	y = twoport.Mat2{
+		{ygs + ygd, -ygd},
+		{ym - ygd, complex(ss.Gds, w*ss.Cds) + ygd},
+	}
 	// Noise sources: e_ri in series with Ri at Tg drives short-circuit
 	// currents j1 = Ygs*e at the gate and j2 = Ym*e at the drain; the drain
 	// current source i_d (gds at Td) adds directly at port 2, uncorrelated.

@@ -82,7 +82,7 @@ func (n TwoPort) ToY() (y, cy twoport.Mat2, err error) {
 }
 
 // Cascade returns the noisy two-port of n followed by m (signal flows
-// n then m).
+// n then m). CascadeWith is its in-place form.
 func (n TwoPort) Cascade(m TwoPort) TwoPort {
 	return TwoPort{
 		A:  n.A.Mul(m.A),

@@ -141,9 +141,10 @@ func TestDEBoundedNaNParentNeverStopsEarly(t *testing.T) {
 // bound.
 func TestStopAboveMargin(t *testing.T) {
 	id := func(v []float64) float64 { return v[0] }
+	s := newStopper(id)
 	for _, bound := range []float64{0, 1, -3, 250} {
 		margin := ksMargin * (1 + math.Abs(bound))
-		stop := stopAbove(id, bound)
+		stop := s.stopAbove(bound)
 		for _, c := range []struct {
 			v    float64
 			want bool
@@ -161,12 +162,44 @@ func TestStopAboveMargin(t *testing.T) {
 		}
 	}
 	for _, bound := range []float64{math.Inf(1), math.NaN()} {
-		if stopAbove(id, bound) != nil {
+		if s.stopAbove(bound) != nil {
 			t.Errorf("bound %v: got a predicate, want nil", bound)
 		}
 	}
-	if stopAbove(id, math.Inf(-1))([]float64{math.Inf(1)}) {
+	if s.stopAbove(math.Inf(-1))([]float64{math.Inf(1)}) {
 		t.Error("a -Inf bound stopped a trial")
+	}
+}
+
+// TestDETrialsAllocateNothing pins the DE stage's bounded trials: with an
+// objective that allocates nothing, a steady-state trial allocates
+// nothing either, whether its predicate holds, fails or is nil.
+func TestDETrialsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations and drops pooled items")
+	}
+	v := []float64{3}
+	fb := func(x []float64, exceeds func([]float64) bool) []float64 {
+		if exceeds != nil {
+			exceeds(v)
+		}
+		return v
+	}
+	var evals atomic.Int64
+	trial := deTrials(attainObjective{fb: fb}, func(f []float64) float64 { return f[0] }, &evals)
+	bounds := []float64{1, 5, math.Inf(1)}
+	trial(v, 1) // fill the pool
+	if n := testing.AllocsPerRun(100, func() {
+		for _, b := range bounds {
+			if got := trial(v, b); got != 3 {
+				t.Fatalf("trial bounded by %v = %v, want 3", b, got)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("a bounded DE trial allocates %v times, want 0", n)
+	}
+	if got, want := evals.Load(), int64(1+101*len(bounds)); got != want {
+		t.Errorf("evals = %d, want %d", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"gnsslna/internal/obs"
@@ -17,7 +18,9 @@ type VectorObjective func(x []float64) []float64
 // BoundedVectorObjective is a VectorObjective that may stop evaluating once
 // its vector provably loses. exceeds(lower) reports whether every vector
 // that is componentwise at least lower loses; it reads lower only during
-// the call and allocates nothing. A nil exceeds never holds.
+// the call and allocates nothing. A nil exceeds never holds. exceeds is
+// valid only until the objective returns: the solver reuses it for the
+// next trial.
 //
 // Standing for a vector objective f, the objective must return exactly
 // f(x), or stop early and return a vector v for which exceeds(v) holds.
@@ -47,6 +50,23 @@ func (a attainObjective) full() VectorObjective {
 // exceed a DE trial's bound before the trial stops (see stopAbove).
 const ksMargin = 1e-9
 
+// stopper holds the stop predicate of one DE trial at a time. Its method
+// value exceeds is bound once, when the stopper is made, so a reused
+// stopper hands each trial its predicate without allocating.
+type stopper struct {
+	ks      func([]float64) float64
+	limit   float64
+	exceeds func(lower []float64) bool
+}
+
+func newStopper(ks func([]float64) float64) *stopper {
+	s := &stopper{ks: ks}
+	s.exceeds = s.above
+	return s
+}
+
+func (s *stopper) above(lower []float64) bool { return s.ks(lower) > s.limit }
+
 // stopAbove returns the stop predicate of a DE trial bounded by its
 // parent's value bound: it holds when the KS value ks(lower) exceeds bound
 // by more than ksMargin*(1+|bound|). The KS envelope increases in every
@@ -55,13 +75,33 @@ const ksMargin = 1e-9
 // when lower bounds the trial's vector componentwise, the trial's full
 // value exceeds bound too and the trial loses. The predicate is nil, never
 // holding, for a bound nothing exceeds: +Inf (the initial population) and
-// NaN (a NaN parent).
-func stopAbove(ks func([]float64) float64, bound float64) func(lower []float64) bool {
+// NaN (a NaN parent). It stays valid until the next stopAbove on s.
+func (s *stopper) stopAbove(bound float64) func(lower []float64) bool {
 	if !(bound < math.Inf(1)) {
 		return nil
 	}
-	limit := bound + ksMargin*(1+math.Abs(bound))
-	return func(lower []float64) bool { return ks(lower) > limit }
+	s.limit = bound + ksMargin*(1+math.Abs(bound))
+	return s.exceeds
+}
+
+// deTrials returns the objective of the improved method's DE stage: the KS
+// value ks5 of obj's vector, each trial of a bounded obj stopped by its
+// parent's KS value (see stopAbove) through a pooled stopper, so a trial
+// allocates nothing beyond what obj does; a plain obj evaluates to the end
+// without a predicate. It counts every call in evals and is safe for
+// concurrent calls when obj is.
+func deTrials(obj attainObjective, ks5 func([]float64) float64, evals *atomic.Int64) BoundedObjective {
+	stoppers := sync.Pool{New: func() any { return newStopper(ks5) }}
+	return func(x []float64, bound float64) float64 {
+		evals.Add(1)
+		if obj.fb == nil {
+			return ks5(obj.f(x))
+		}
+		s := stoppers.Get().(*stopper)
+		v := ks5(obj.fb(x, s.stopAbove(bound)))
+		stoppers.Put(s)
+		return v
+	}
 }
 
 // Goal is one design goal for goal attainment: drive objective i to at most
@@ -459,16 +499,7 @@ func attainOnce(ctx context.Context, obj attainObjective, goals []Goal, lo, hi [
 	} else {
 		pop, gens := dePop(len(lo), o.GlobalEvals)
 		ks5 := func(f []float64) float64 { return ksOf(f, 5) }
-		// Each trial is bounded by its parent's KS value (see stopAbove);
-		// a plain objective evaluates to the end without a predicate.
-		bounded := func(x []float64, bound float64) float64 {
-			evals.Add(1)
-			if obj.fb == nil {
-				return ksOf(obj.f(x), 5)
-			}
-			return ksOf(obj.fb(x, stopAbove(ks5, bound)), 5)
-		}
-		de, err := DifferentialEvolutionBounded(bounded, lo, hi, &DEOptions{
+		de, err := DifferentialEvolutionBounded(deTrials(obj, ks5, &evals), lo, hi, &DEOptions{
 			Pop: pop, Generations: gens, Seed: o.Seed, Workers: o.Workers,
 			Observer: em.observer(), Scope: em.scope + ".de", Control: o.Control,
 		})

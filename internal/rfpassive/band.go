@@ -10,17 +10,22 @@ import (
 // one frequency at a time. Compilation classifies each element once: the
 // lumped chip models, tees and shunt branches all reduce to an elementary
 // series-Z or shunt-Y factor per frequency, which NoisyAt and ABCDAt apply
-// with the specialized noise.CascadeSeries/CascadeShunt ops instead of the
-// generic 2x2 cascade-plus-congruence. Anything else (nested Chains,
-// foreign Element implementations) keeps the generic path. A *Shared
-// element compiles to its inner element's step and reads that factor from
-// the shared per-frequency table, computing it only on a miss.
+// in place into a caller-owned value with the specialized
+// noise.CascadeSeries/CascadeShunt ops instead of the generic 2x2
+// cascade-plus-congruence. Anything else (nested Chains, foreign Element
+// implementations) keeps the generic path. A *Shared element compiles to
+// its inner element's step and reads that factor from the shared
+// per-frequency table, computing it only on a miss.
 //
 // The compiled result is value-exact (==) against Chain.Noisy at every
 // frequency: the elementary ops reproduce the generic arithmetic for finite
-// operands (see internal/noise/band.go), and any non-finite intermediate
-// falls back to the generic cascade for the rest of the chain. The
-// internal/verify differential suite enforces this over the element corpus.
+// operands (see internal/noise/band.go). The step loop runs without
+// per-step checks and tests the chain matrix for finiteness once; a chain
+// whose result is not finite reruns the checked loop, where any non-finite
+// intermediate falls back to the generic cascade for the rest of the chain
+// (see NoisyAt). The internal/verify differential suite enforces this over
+// the element corpus, and TestNonFiniteChainsMatchCheckedLoop over chains
+// that overflow or meet a non-finite factor.
 type CompiledChain struct {
 	steps []chainStep
 }
@@ -148,71 +153,101 @@ func resolveTemp(t float64) float64 {
 	return t
 }
 
-// NoisyAt returns the cascade as a noisy two-port at f, equal (==) to the
-// uncompiled Chain.Noisy(f).
-func (cc *CompiledChain) NoisyAt(f float64) noise.TwoPort {
-	n := noise.Noiseless(twoport.Identity2())
+// NoisyAt writes the cascade's noisy two-port at f into dst, equal (==)
+// to the uncompiled Chain.Noisy(f).
+//
+// The step loop runs unchecked, cascading every elementary factor in place,
+// and the chain matrix is tested for finiteness once at the end; only a
+// chain whose result is not finite reruns the checked loop, which takes the
+// generic cascade wherever the running chain matrix or a step's factor is
+// non-finite, as Chain.Noisy's arithmetic demands. That one test suffices:
+// the cascade only adds and multiplies, so a non-finite entry of the chain
+// matrix never turns finite again (0*Inf is NaN), and a non-finite factor
+// v always reaches it (through a00*v + a01 or a00 + a01*v). A finite
+// result therefore means every step met the specialized path's contract,
+// and the unchecked loop took the checked loop's branches throughout.
+func (cc *CompiledChain) NoisyAt(dst *noise.TwoPort, f float64) {
+	cc.noisySteps(dst, f, false)
+	if !finiteMat(&dst.A) {
+		cc.noisySteps(dst, f, true)
+	}
+}
+
+// noisySteps runs the step loop into dst. With checked set, a step whose
+// factor or incoming chain matrix is non-finite takes the generic cascade
+// of its element's own noisy two-port.
+func (cc *CompiledChain) noisySteps(dst *noise.TwoPort, f float64, checked bool) {
+	dst.A, dst.CA = twoport.Identity2(), twoport.Mat2{}
 	for i := range cc.steps {
 		st := &cc.steps[i]
-		if st.kind == stepGeneric || !n.Finite() {
-			n = n.Cascade(st.elem.Noisy(f))
+		if st.kind == stepGeneric || checked && !dst.Finite() {
+			m := st.elem.Noisy(f)
+			dst.CascadeWith(&m)
 			continue
 		}
 		v := st.zy(f)
-		if !finiteC(v) {
-			n = n.Cascade(st.elem.Noisy(f))
+		if checked && !finiteC(v) {
+			m := st.elem.Noisy(f)
+			dst.CascadeWith(&m)
 			continue
 		}
 		// The normalization mirrors noise.SeriesZ/ShuntY exactly:
 		// real(v)*temp/T0 in this operation order.
 		w := real(v) * st.temp / mathx.T0
 		if st.kind == stepSeries {
-			n = n.CascadeSeries(v, w)
+			dst.CascadeSeries(v, w)
 		} else {
-			n = n.CascadeShunt(v, w)
+			dst.CascadeShunt(v, w)
 		}
 	}
-	return n
 }
 
 // NoisyBand writes the cascade's noisy two-port at each frequency into dst
 // (same length as freqs) and returns dst.
 func (cc *CompiledChain) NoisyBand(dst []noise.TwoPort, freqs []float64) []noise.TwoPort {
 	for i, f := range freqs {
-		dst[i] = cc.NoisyAt(f)
+		cc.NoisyAt(&dst[i], f)
 	}
 	return dst
 }
 
-// ABCDAt returns the chain matrix of the cascade at f, equal (==) to the
-// uncompiled Chain.ABCD(f). Elementary steps use the specialized
-// twoport.MulSeriesZ/MulShuntY products.
-func (cc *CompiledChain) ABCDAt(f float64) twoport.Mat2 {
-	a := twoport.Identity2()
+// ABCDAt writes the chain matrix of the cascade at f into dst, equal (==)
+// to the uncompiled Chain.ABCD(f). Elementary steps use the in-place
+// twoport.MulSeriesZ/MulShuntY products, unchecked, with the one
+// finiteness test and checked rerun of NoisyAt.
+func (cc *CompiledChain) ABCDAt(dst *twoport.Mat2, f float64) {
+	cc.abcdSteps(dst, f, false)
+	if !finiteMat(dst) {
+		cc.abcdSteps(dst, f, true)
+	}
+}
+
+// abcdSteps is noisySteps for the chain matrix alone.
+func (cc *CompiledChain) abcdSteps(dst *twoport.Mat2, f float64, checked bool) {
+	*dst = twoport.Identity2()
 	for i := range cc.steps {
 		st := &cc.steps[i]
-		if st.kind == stepGeneric || !finiteMat(a) {
-			a = a.Mul(st.elem.ABCD(f))
+		if st.kind == stepGeneric || checked && !finiteMat(dst) {
+			*dst = dst.Mul(st.elem.ABCD(f))
 			continue
 		}
 		v := st.zy(f)
-		if !finiteC(v) {
-			a = a.Mul(st.elem.ABCD(f))
+		if checked && !finiteC(v) {
+			*dst = dst.Mul(st.elem.ABCD(f))
 			continue
 		}
 		if st.kind == stepSeries {
-			a = twoport.MulSeriesZ(a, v)
+			twoport.MulSeriesZ(dst, v)
 		} else {
-			a = twoport.MulShuntY(a, v)
+			twoport.MulShuntY(dst, v)
 		}
 	}
-	return a
 }
 
 // ABCDBand writes the cascade's chain matrix at each frequency into dst.
 func (cc *CompiledChain) ABCDBand(dst []twoport.Mat2, freqs []float64) []twoport.Mat2 {
 	for i, f := range freqs {
-		dst[i] = cc.ABCDAt(f)
+		cc.ABCDAt(&dst[i], f)
 	}
 	return dst
 }
@@ -222,7 +257,7 @@ func finiteC(v complex128) bool {
 	return re-re == 0 && im-im == 0
 }
 
-func finiteMat(m twoport.Mat2) bool {
+func finiteMat(m *twoport.Mat2) bool {
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			if !finiteC(m[i][j]) {

@@ -84,6 +84,12 @@ func (s Substrate) StaticParams(w float64) (epsEff, z0 float64) {
 // returns the quasi-static value.
 func (s Substrate) EpsEff(w, f float64, dispersion bool) float64 {
 	e0, _ := s.StaticParams(w)
+	return s.epsEffFrom(e0, w, f, dispersion)
+}
+
+// epsEffFrom is EpsEff given the quasi-static permittivity e0 =
+// StaticParams(w), so a caller that already holds it skips the fit.
+func (s Substrate) epsEffFrom(e0, w, f float64, dispersion bool) float64 {
 	if !dispersion || f <= 0 {
 		return e0
 	}
@@ -120,22 +126,30 @@ func (s Substrate) Z0At(w, f float64, dispersion bool) float64 {
 // AlphaConductor returns the conductor attenuation in Np/m at f for a line
 // of width w.
 func (s Substrate) AlphaConductor(w, f float64) float64 {
+	_, z0 := s.StaticParams(w)
+	return s.alphaConductorFrom(z0, w, f)
+}
+
+// alphaConductorFrom is AlphaConductor given the quasi-static impedance
+// z0 = StaticParams(w).
+func (s Substrate) alphaConductorFrom(z0, w, f float64) float64 {
 	if f <= 0 {
 		return 0
 	}
 	rs := math.Sqrt(math.Pi * f * mu0 * s.rho()) // surface resistance
-	_, z0 := s.StaticParams(w)
 	return rs / (z0 * w)
 }
 
 // AlphaDielectric returns the dielectric attenuation in Np/m at f for a
 // line of width w, including the filling-factor correction.
 func (s Substrate) AlphaDielectric(w, f float64, dispersion bool) float64 {
-	if f <= 0 || s.TanD == 0 {
-		return 0
-	}
-	ef := s.EpsEff(w, f, dispersion)
-	if s.Er == 1 {
+	return s.alphaDielectricFrom(s.EpsEff(w, f, dispersion), f)
+}
+
+// alphaDielectricFrom is AlphaDielectric given the effective permittivity
+// ef = EpsEff(w, f, dispersion).
+func (s Substrate) alphaDielectricFrom(ef, f float64) float64 {
+	if f <= 0 || s.TanD == 0 || s.Er == 1 {
 		return 0
 	}
 	return math.Pi * f / c0 * s.Er * (ef - 1) * s.TanD / (math.Sqrt(ef) * (s.Er - 1))
@@ -204,9 +218,22 @@ func (l Line) Zc(f float64) complex128 {
 	return complex(l.Sub.Z0At(l.W, f, l.Dispersion), 0)
 }
 
-// ABCD returns the chain matrix of the line at f.
+// ABCD returns the chain matrix of the line at f, LineABCD(Zc(f),
+// Gamma(f), Len), with the quasi-static fit and the dispersion model run
+// once each instead of once per quantity that reads them. Each term is the
+// expression Z0At, Gamma and the attenuations evaluate, so the result is
+// bit-identical.
 func (l Line) ABCD(f float64) twoport.Mat2 {
-	return twoport.LineABCD(l.Zc(f), l.Gamma(f), l.Len)
+	s := l.Sub
+	e0, z0 := s.StaticParams(l.W)
+	ef := s.epsEffFrom(e0, l.W, f, l.Dispersion)
+	zc := z0
+	if l.Dispersion {
+		zc = z0 * math.Sqrt(e0/ef) // Z0At's dispersion scaling
+	}
+	beta := 2 * math.Pi * f * math.Sqrt(ef) / c0
+	alpha := s.alphaConductorFrom(z0, l.W, f) + s.alphaDielectricFrom(ef, f)
+	return twoport.LineABCD(complex(zc, 0), complex(alpha, beta), l.Len)
 }
 
 // Noisy returns the line as a noisy two-port at its substrate temperature.

@@ -172,3 +172,32 @@ func TestLineNoiseMatchesLoss(t *testing.T) {
 		t.Errorf("lossy line NF = %g, want > 0", nfDB)
 	}
 }
+
+// TestLineABCDMatchesZcGamma pins Line.ABCD, which runs the quasi-static
+// fit and the dispersion model once, to its definition LineABCD(Zc(f),
+// Gamma(f), Len) bit for bit: dispersive and quasi-static lines, a lossless
+// dielectric (TanD 0), an air substrate (Er 1, whose dispersion model is
+// NaN), at 0 Hz and at negative, huge, infinite and NaN frequencies.
+func TestLineABCDMatchesZcGamma(t *testing.T) {
+	ro := RogersRO4350()
+	lossless := FR4()
+	lossless.TanD = 0
+	air := Substrate{Er: 1, H: 1e-3, TanD: 0.01}
+	var lines []Line
+	for _, sub := range []Substrate{ro, FR4(), lossless, air} {
+		for _, w := range []float64{0.3e-3, 1.7e-3, 6e-3} {
+			for _, disp := range []bool{true, false} {
+				lines = append(lines, Line{Sub: sub, W: w, Len: 12e-3, Dispersion: disp})
+			}
+		}
+	}
+	freqs := []float64{0, math.Copysign(0, -1), -1e9, 1, 1.2e9, 1.575e9, 10e9, 1e30, math.Inf(1), math.NaN()}
+	for _, l := range lines {
+		for _, f := range freqs {
+			got, want := l.ABCD(f), twoport.LineABCD(l.Zc(f), l.Gamma(f), l.Len)
+			if !sameMatBits(got, want) {
+				t.Errorf("%+v at %v Hz: ABCD %v, LineABCD(Zc, Gamma) %v (bits differ)", l, f, got, want)
+			}
+		}
+	}
+}

@@ -76,17 +76,21 @@ func TestSharedTableKeysAndBound(t *testing.T) {
 	// The tee alone: behind the DC block, 0 Hz goes non-finite and the
 	// rest of the chain takes the generic path.
 	teeOnly := CompileChain(Chain{tee})
+	var a twoport.Mat2
 	for _, f := range []float64{0, math.Copysign(0, -1)} {
-		teeOnly.ABCDAt(f)
+		teeOnly.ABCDAt(&a, f)
 	}
 	if n := entries(tee); n != 2 {
 		t.Errorf("+0 Hz and -0 Hz made %d table entries, want 2", n)
 	}
 
 	long := mathx.Logspace(50e6, 20e9, sharedBound+44)
+	var got, want noise.TwoPort
 	for pass := 0; pass < 2; pass++ {
 		for _, f := range long {
-			if got, want := cc.NoisyAt(f), ref.NoisyAt(f); got != want {
+			cc.NoisyAt(&got, f)
+			ref.NoisyAt(&want, f)
+			if got != want {
 				t.Fatalf("pass %d at %g Hz: shared chain %v, want %v", pass, f, got, want)
 			}
 		}
@@ -96,7 +100,7 @@ func TestSharedTableKeysAndBound(t *testing.T) {
 	}
 
 	nested := NewShared(Chain{NewChipInductor(2.2e-9, Series), NewChipCapacitor(1e-12, Shunt)})
-	CompileChain(Chain{nested}).NoisyAt(1.5e9)
+	CompileChain(Chain{nested}).NoisyAt(&got, 1.5e9)
 	if n := entries(nested); n != 0 {
 		t.Errorf("a nested chain stored %d entries, want none", n)
 	}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"gnsslna/internal/device"
+	"gnsslna/internal/noise"
 	"gnsslna/internal/rfpassive"
 	"gnsslna/internal/twoport"
 )
@@ -31,13 +32,16 @@ func exactMat2(context, name string, a, b twoport.Mat2) []Violation {
 func BatchChainEquivalence(context string, ch rfpassive.Chain, freqs []float64) []Violation {
 	var out []Violation
 	cc := rfpassive.CompileChain(ch)
+	var got noise.TwoPort
+	var abcd twoport.Mat2
 	for i, f := range freqs {
 		ref := ch.Noisy(f)
-		got := cc.NoisyAt(f)
+		cc.NoisyAt(&got, f)
+		cc.ABCDAt(&abcd, f)
 		ctx := pointContext(context, freqs, i)
 		out = append(out, exactMat2(ctx, "A", got.A, ref.A)...)
 		out = append(out, exactMat2(ctx, "CA", got.CA, ref.CA)...)
-		out = append(out, exactMat2(ctx, "ABCD", cc.ABCDAt(f), ch.ABCD(f))...)
+		out = append(out, exactMat2(ctx, "ABCD", abcd, ch.ABCD(f))...)
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"gnsslna/internal/core"
 	"gnsslna/internal/device"
 	"gnsslna/internal/mathx"
+	"gnsslna/internal/noise"
 	"gnsslna/internal/optim"
 	"gnsslna/internal/rfpassive"
 	"gnsslna/internal/twoport"
@@ -108,11 +109,16 @@ func TestSharedChainBitsAtZeroHz(t *testing.T) {
 	for name, ch := range plainChains(corpus) {
 		plain, shared := rfpassive.CompileChain(ch), rfpassive.CompileChain(corpus[sharedPrefix+name])
 		for _, f := range []float64{pz, nz, nz, pz} {
-			gotN, wantN := shared.NoisyAt(f), plain.NoisyAt(f)
+			var gotN, wantN noise.TwoPort
+			shared.NoisyAt(&gotN, f)
+			plain.NoisyAt(&wantN, f)
 			if !sameBits(gotN.A, wantN.A) || !sameBits(gotN.CA, wantN.CA) {
 				t.Errorf("%s at %v Hz: shared noisy two-port %v, want the bits of %v", name, f, gotN, wantN)
 			}
-			if got, want := shared.ABCDAt(f), plain.ABCDAt(f); !sameBits(got, want) {
+			var got, want twoport.Mat2
+			shared.ABCDAt(&got, f)
+			plain.ABCDAt(&want, f)
+			if !sameBits(got, want) {
 				t.Errorf("%s at %v Hz: shared ABCD %v, want the bits of %v", name, f, got, want)
 			}
 		}
